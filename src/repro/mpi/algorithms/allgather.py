@@ -8,7 +8,7 @@ incrementally.
 
 from __future__ import annotations
 
-from repro.mpi.algorithms.base import KIND_ALLGATHER, CollectiveContext, coll_tag
+from repro.mpi.algorithms.base import KIND_ALLGATHER, Buffer, CollectiveContext, coll_tag
 from repro.mpi.algorithms.registry import register
 from repro.mpi.algorithms.schedule import (
     CopyStep,
@@ -18,6 +18,7 @@ from repro.mpi.algorithms.schedule import (
     execute,
     register_builder,
 )
+from repro.mpi.ops import BytesLike
 
 #: Buffer names every allgather schedule uses.
 SEND = "send"
@@ -87,24 +88,24 @@ def build_allgather_bruck(rank: int, size: int, nbytes_per_rank: int, seq: int) 
 @register("allgather", "ring")
 def allgather_ring(
     cc: CollectiveContext,
-    sendbuf: bytes,
-    recvbuf: bytearray,
+    sendbuf: BytesLike,
+    recvbuf: Buffer,
     nbytes_per_rank: int,
     seq: int,
 ) -> None:
     """Blocking ring allgather (executes the schedule in place)."""
     sched = build_allgather_ring(cc.rank, cc.size, nbytes_per_rank, seq)
-    execute(cc, sched, {SEND: bytearray(sendbuf[:nbytes_per_rank]), RECV: recvbuf})
+    execute(cc, sched, {SEND: memoryview(sendbuf)[:nbytes_per_rank], RECV: recvbuf})
 
 
 @register("allgather", "bruck")
 def allgather_bruck(
     cc: CollectiveContext,
-    sendbuf: bytes,
-    recvbuf: bytearray,
+    sendbuf: BytesLike,
+    recvbuf: Buffer,
     nbytes_per_rank: int,
     seq: int,
 ) -> None:
     """Blocking Bruck allgather (executes the schedule in place)."""
     sched = build_allgather_bruck(cc.rank, cc.size, nbytes_per_rank, seq)
-    execute(cc, sched, {SEND: bytearray(sendbuf[:nbytes_per_rank]), RECV: recvbuf})
+    execute(cc, sched, {SEND: memoryview(sendbuf)[:nbytes_per_rank], RECV: recvbuf})

@@ -3,7 +3,8 @@
 Recursive doubling and the ring are expressed as schedules over the
 accumulator buffer ``"acc"`` (initialised with this rank's contribution and
 holding the result at completion); the registered blocking functions execute
-the same schedules ``MPI_Iallreduce`` advances incrementally.  The composed
+the same schedules ``MPI_Iallreduce`` advances incrementally, with the
+caller's receive buffer as the accumulator.  The composed
 ``reduce_bcast`` algorithm stays a composition of the (schedule-based)
 binomial reduce and bcast.
 """
@@ -12,6 +13,7 @@ from __future__ import annotations
 
 from repro.mpi.algorithms.base import (
     KIND_ALLREDUCE,
+    Buffer,
     CollectiveContext,
     chunk_counts,
     chunk_offsets,
@@ -29,7 +31,7 @@ from repro.mpi.algorithms.schedule import (
     register_builder,
 )
 from repro.mpi.datatypes import Datatype
-from repro.mpi.ops import Op
+from repro.mpi.ops import BytesLike, Op
 
 # Tag offset for the post-phase that hands results back to folded-out ranks
 # (doubling rounds use offsets 1..log2(p), far below 63).
@@ -154,22 +156,25 @@ def build_allreduce_ring(rank: int, size: int, count: int, esize: int, seq: int)
 def _run_allreduce_schedule(
     cc: CollectiveContext,
     sched: Schedule,
-    sendbuf: bytes,
-    recvbuf: bytearray,
+    sendbuf: BytesLike,
+    recvbuf: Buffer,
     count: int,
     datatype: Datatype,
     op: Op,
 ) -> None:
+    """Run an allreduce schedule with the receive buffer as the accumulator:
+    one copy of the contribution in, the result reduced in place."""
     nbytes = count * datatype.size
-    buffers = execute(cc, sched, {ACC: bytearray(sendbuf[:nbytes])}, datatype, op)
-    recvbuf[:nbytes] = buffers[ACC][:nbytes]
+    acc = memoryview(recvbuf)[:nbytes]
+    acc[:] = memoryview(sendbuf)[:nbytes]
+    execute(cc, sched, {ACC: acc}, datatype, op)
 
 
 @register("allreduce", "recursive_doubling")
 def allreduce_recursive_doubling(
     cc: CollectiveContext,
-    sendbuf: bytes,
-    recvbuf: bytearray,
+    sendbuf: BytesLike,
+    recvbuf: Buffer,
     count: int,
     datatype: Datatype,
     op: Op,
@@ -183,8 +188,8 @@ def allreduce_recursive_doubling(
 @register("allreduce", "ring")
 def allreduce_ring(
     cc: CollectiveContext,
-    sendbuf: bytes,
-    recvbuf: bytearray,
+    sendbuf: BytesLike,
+    recvbuf: Buffer,
     count: int,
     datatype: Datatype,
     op: Op,
@@ -198,8 +203,8 @@ def allreduce_ring(
 @register("allreduce", "reduce_bcast")
 def allreduce_reduce_bcast(
     cc: CollectiveContext,
-    sendbuf: bytes,
-    recvbuf: bytearray,
+    sendbuf: BytesLike,
+    recvbuf: Buffer,
     count: int,
     datatype: Datatype,
     op: Op,
@@ -215,10 +220,5 @@ def allreduce_reduce_bcast(
     from repro.mpi.algorithms.reduce import reduce_binomial
 
     nbytes = count * datatype.size
-    tmp = bytearray(nbytes)
-    reduce_binomial(cc, sendbuf, tmp if cc.rank == 0 else None, count, datatype, op, 0, seq)
-    if cc.rank == 0:
-        recvbuf[:nbytes] = tmp
-    bcast_buf = bytearray(recvbuf[:nbytes]) if cc.rank == 0 else bytearray(nbytes)
-    bcast_binomial(cc, bcast_buf, nbytes, 0, seq)
-    recvbuf[:nbytes] = bcast_buf[:nbytes]
+    reduce_binomial(cc, sendbuf, recvbuf if cc.rank == 0 else None, count, datatype, op, 0, seq)
+    bcast_binomial(cc, memoryview(recvbuf)[:nbytes], nbytes, 0, seq)

@@ -8,7 +8,7 @@ incrementally.
 
 from __future__ import annotations
 
-from repro.mpi.algorithms.base import KIND_ALLTOALL, CollectiveContext, coll_tag
+from repro.mpi.algorithms.base import KIND_ALLTOALL, Buffer, CollectiveContext, coll_tag
 from repro.mpi.algorithms.registry import register
 from repro.mpi.algorithms.schedule import (
     CopyStep,
@@ -18,6 +18,7 @@ from repro.mpi.algorithms.schedule import (
     execute,
     register_builder,
 )
+from repro.mpi.ops import BytesLike
 
 #: Buffer names every alltoall schedule uses.
 SEND = "send"
@@ -71,16 +72,16 @@ def build_alltoall_linear(rank: int, size: int, nbytes_per_rank: int, seq: int) 
     return sched
 
 
-def _run_alltoall(cc: CollectiveContext, sched: Schedule, sendbuf: bytes,
-                  recvbuf: bytearray, nbytes_per_rank: int) -> None:
-    execute(cc, sched, {SEND: bytearray(sendbuf[: cc.size * nbytes_per_rank]), RECV: recvbuf})
+def _run_alltoall(cc: CollectiveContext, sched: Schedule, sendbuf: BytesLike,
+                  recvbuf: Buffer, nbytes_per_rank: int) -> None:
+    execute(cc, sched, {SEND: memoryview(sendbuf)[: cc.size * nbytes_per_rank], RECV: recvbuf})
 
 
 @register("alltoall", "pairwise")
 def alltoall_pairwise(
     cc: CollectiveContext,
-    sendbuf: bytes,
-    recvbuf: bytearray,
+    sendbuf: BytesLike,
+    recvbuf: Buffer,
     nbytes_per_rank: int,
     seq: int,
 ) -> None:
@@ -92,8 +93,8 @@ def alltoall_pairwise(
 @register("alltoall", "linear")
 def alltoall_linear(
     cc: CollectiveContext,
-    sendbuf: bytes,
-    recvbuf: bytearray,
+    sendbuf: BytesLike,
+    recvbuf: Buffer,
     nbytes_per_rank: int,
     seq: int,
 ) -> None:

@@ -14,10 +14,14 @@ numbers (and hence the tags) agree across ranks without negotiation.
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional
+from typing import Callable, List, Optional, Union
 
 from repro.mpi.datatypes import Datatype
-from repro.mpi.ops import Op
+from repro.mpi.ops import BytesLike, Op
+
+#: A writable collective buffer: a temporary ``bytearray`` or a flat byte
+#: view of the caller's memory.
+Buffer = Union[bytearray, memoryview]
 
 # Tag space reserved for collectives (user tags are non-negative and small).
 COLL_TAG_BASE = 1 << 24
@@ -42,12 +46,23 @@ def coll_tag(kind: int, seq: int) -> int:
 class CollectiveContext:
     """Bundle of callables the collectives need from the per-rank runtime.
 
-    ``send(dst_local, tag, data)`` and ``recv(src_local, tag, nbytes) -> bytes``
-    operate on *communicator-local* ranks; the runtime translates to world
-    ranks and forwards to the matching engine.  ``send`` posts without
-    blocking (the matching engine buffers), which lets algorithms post a fan
-    of sends before draining receives.  ``compute(seconds)`` charges local
+    ``send(dst_local, tag, data)`` and ``recv(src_local, tag, into)`` operate
+    on *communicator-local* ranks; the runtime translates to world ranks and
+    forwards to the matching engine.  ``compute(seconds)`` charges local
     computation time (used for the combine step of reductions).
+
+    Copy rules -- each payload byte crosses each hop once:
+
+    * ``send`` takes a flat byte view (a ``memoryview`` slice of the
+      algorithm's buffer, or ``bytes``) and posts without blocking; the
+      matching engine snapshots it at post, so the algorithm may overwrite
+      the buffer right away and may post a fan of sends before draining
+      receives.
+    * ``recv`` receives *into* a caller-supplied writable byte view: ``len``
+      of the view is the expected size (larger messages raise
+      :class:`~repro.mpi.errors.TruncationError`), and the payload lands
+      there directly with no intermediate buffer.  An empty view receives a
+      zero-byte token.
 
     The remaining callables are optional and only supplied by the per-rank
     runtime (the incremental schedule executor behind the non-blocking
@@ -55,11 +70,12 @@ class CollectiveContext:
 
     * ``probe(src_local, tag) -> bool`` -- whether a matching message is
       already buffered, without consuming it;
-    * ``recv_nb(src_local, tag, nbytes) -> Optional[(bytes, arrival)]`` --
-      consume a buffered match charging only CPU overhead, reporting the
-      virtual time the payload actually finishes arriving (``None`` when
-      nothing is buffered).  Separating consumption from the arrival time is
-      what lets transfers overlap caller compute;
+    * ``recv_nb(src_local, tag, into) -> Optional[float]`` -- consume a
+      buffered match into ``into`` (same contract as ``recv``) charging only
+      CPU overhead, and return the virtual time the payload actually
+      finishes arriving (``None`` when nothing is buffered).  Separating
+      consumption from the arrival time is what lets transfers overlap caller
+      compute;
     * ``now() -> float`` / ``advance_to(t)`` -- the rank's virtual clock,
       used to enforce data dependencies (a step that reads received data
       cannot execute before that data has arrived).
@@ -69,12 +85,12 @@ class CollectiveContext:
         self,
         rank: int,
         size: int,
-        send: Callable[[int, int, bytes], None],
-        recv: Callable[[int, int, int], bytes],
+        send: Callable[[int, int, BytesLike], None],
+        recv: Callable[[int, int, memoryview], None],
         compute: Callable[[float], None],
         reduce_compute_per_byte: float = 0.04e-9,
         probe: Optional[Callable[[int, int], bool]] = None,
-        recv_nb: Optional[Callable[[int, int, int], Optional[tuple]]] = None,
+        recv_nb: Optional[Callable[[int, int, memoryview], Optional[float]]] = None,
         now: Optional[Callable[[], float]] = None,
         advance_to: Optional[Callable[[float], None]] = None,
         world_rank: Optional[int] = None,
@@ -94,25 +110,23 @@ class CollectiveContext:
         self.world_rank = world_rank
 
 
-def combine(cc: CollectiveContext, op: Op, acc: bytearray, contribution: bytes,
+def combine(cc: CollectiveContext, op: Op, acc: Buffer, contribution: BytesLike,
             datatype: Datatype, count: int) -> None:
     """Reduce ``contribution`` into ``acc`` and charge the combine time."""
     op.reduce_bytes(acc, contribution, datatype, count)
     cc.compute(count * datatype.size * cc.reduce_compute_per_byte)
 
 
-def combine_segment(cc: CollectiveContext, op: Op, acc: bytearray, contribution: bytes,
+def combine_segment(cc: CollectiveContext, op: Op, acc: Buffer, contribution: BytesLike,
                     datatype: Datatype, elem_offset: int, elem_count: int) -> None:
-    """Reduce ``contribution`` into the element range of ``acc`` starting at
-    ``elem_offset``; charges combine time for the segment only."""
+    """Reduce ``contribution`` in place into the element range of ``acc``
+    starting at ``elem_offset``; charges combine time for the segment only."""
     if elem_count <= 0:
         return
     esize = datatype.size
     lo = elem_offset * esize
     hi = lo + elem_count * esize
-    seg = bytearray(acc[lo:hi])
-    op.reduce_bytes(seg, contribution, datatype, elem_count)
-    acc[lo:hi] = seg
+    op.reduce_bytes(memoryview(acc)[lo:hi], contribution, datatype, elem_count)
     cc.compute(elem_count * esize * cc.reduce_compute_per_byte)
 
 

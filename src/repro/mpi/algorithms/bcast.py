@@ -8,7 +8,7 @@ incrementally, so each algorithm has exactly one implementation.
 
 from __future__ import annotations
 
-from repro.mpi.algorithms.base import KIND_BCAST, CollectiveContext, coll_tag
+from repro.mpi.algorithms.base import KIND_BCAST, Buffer, CollectiveContext, coll_tag
 from repro.mpi.algorithms.registry import register
 from repro.mpi.algorithms.schedule import (
     RecvStep,
@@ -103,12 +103,12 @@ def build_bcast_scatter_allgather(rank: int, size: int, nbytes: int, root: int, 
 
 
 @register("bcast", "binomial")
-def bcast_binomial(cc: CollectiveContext, buffer: bytearray, nbytes: int, root: int, seq: int) -> None:
+def bcast_binomial(cc: CollectiveContext, buffer: Buffer, nbytes: int, root: int, seq: int) -> None:
     """Blocking binomial-tree broadcast (executes the schedule in place)."""
     execute(cc, build_bcast_binomial(cc.rank, cc.size, nbytes, root, seq), {DATA: buffer})
 
 
 @register("bcast", "scatter_allgather")
-def bcast_scatter_allgather(cc: CollectiveContext, buffer: bytearray, nbytes: int, root: int, seq: int) -> None:
+def bcast_scatter_allgather(cc: CollectiveContext, buffer: Buffer, nbytes: int, root: int, seq: int) -> None:
     """Blocking scatter-allgather broadcast (executes the schedule in place)."""
     execute(cc, build_bcast_scatter_allgather(cc.rank, cc.size, nbytes, root, seq), {DATA: buffer})

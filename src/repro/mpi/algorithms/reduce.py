@@ -4,8 +4,8 @@ Signature shared by every reduce algorithm::
 
     fn(cc, sendbuf, recvbuf, count, datatype, op, root, seq) -> None
 
-``recvbuf`` is a ``bytearray`` on the root and ``None`` elsewhere.  The
-binomial tree is expressed as a schedule over the accumulator buffer
+``recvbuf`` is a writable byte buffer on the root and ``None`` elsewhere.
+The binomial tree is expressed as a schedule over the accumulator buffer
 ``"acc"`` (see :mod:`repro.mpi.algorithms.schedule`), shared with the
 non-blocking path; Rabenseifner stays a direct implementation.
 """
@@ -16,6 +16,7 @@ from typing import Optional
 
 from repro.mpi.algorithms.base import (
     KIND_REDUCE,
+    Buffer,
     CollectiveContext,
     chunk_counts,
     chunk_offsets,
@@ -36,7 +37,7 @@ from repro.mpi.algorithms.schedule import (
     register_builder,
 )
 from repro.mpi.datatypes import Datatype
-from repro.mpi.ops import Op
+from repro.mpi.ops import BytesLike, Op
 
 # Tag offset separating the gather phase from the reduce-scatter rounds
 # (rounds use offsets 1..log2(p), far below 64).
@@ -83,8 +84,8 @@ def build_reduce_binomial(rank: int, size: int, count: int, esize: int,
 @register("reduce", "binomial")
 def reduce_binomial(
     cc: CollectiveContext,
-    sendbuf: bytes,
-    recvbuf: Optional[bytearray],
+    sendbuf: BytesLike,
+    recvbuf: Optional[Buffer],
     count: int,
     datatype: Datatype,
     op: Op,
@@ -94,7 +95,7 @@ def reduce_binomial(
     """Blocking binomial-tree reduction (executes the schedule in place)."""
     nbytes = count * datatype.size
     sched = build_reduce_binomial(cc.rank, cc.size, count, datatype.size, root, seq)
-    buffers = {ACC: bytearray(sendbuf[:nbytes])}
+    buffers = {ACC: bytearray(memoryview(sendbuf)[:nbytes])}
     if cc.rank == root:
         # Only the root's schedule references RECV (the final copy step).
         buffers[RECV] = recvbuf if recvbuf is not None else bytearray(nbytes)
@@ -104,6 +105,7 @@ def reduce_binomial(
 def _fold_to_power_of_two(
     cc: CollectiveContext,
     acc: bytearray,
+    tmp: memoryview,
     count: int,
     datatype: Datatype,
     op: Op,
@@ -113,18 +115,18 @@ def _fold_to_power_of_two(
     """Pre-phase of the halving/doubling algorithms for non-power-of-two sizes.
 
     The first ``2 * rem`` ranks pair up: each even rank sends its vector to
-    its odd neighbour (which combines it) and drops out of the core phase.
-    Returns the rank's virtual id within the power-of-two group, or ``-1``
-    for folded-out ranks.
+    its odd neighbour (which receives it into ``tmp`` and combines it) and
+    drops out of the core phase.  Returns the rank's virtual id within the
+    power-of-two group, or ``-1`` for folded-out ranks.
     """
     rank = cc.rank
     nbytes = count * datatype.size
     if rank < 2 * rem:
         if rank % 2 == 0:
-            cc.send(rank + 1, tag, bytes(acc))
+            cc.send(rank + 1, tag, memoryview(acc))
             return -1
-        contribution = cc.recv(rank - 1, tag, nbytes)
-        combine(cc, op, acc, contribution, datatype, count)
+        cc.recv(rank - 1, tag, tmp[:nbytes])
+        combine(cc, op, acc, tmp, datatype, count)
         return rank // 2
     return rank - rem
 
@@ -132,6 +134,7 @@ def _fold_to_power_of_two(
 def _reduce_scatter_halving(
     cc: CollectiveContext,
     acc: bytearray,
+    tmp: memoryview,
     datatype: Datatype,
     op: Op,
     tag: int,
@@ -144,7 +147,8 @@ def _reduce_scatter_halving(
     """Recursive-halving reduce-scatter over the power-of-two group.
 
     Each participant starts with a full combined vector and ends owning the
-    fully reduced chunk ``vrank`` (chunk boundaries from ``cnts``/``offs``).
+    fully reduced chunk ``vrank`` (chunk boundaries from ``cnts``/``offs``);
+    partner halves are received into ``tmp``.
     """
     esize = datatype.size
     lo, hi = 0, pof2
@@ -157,11 +161,11 @@ def _reduce_scatter_halving(
             keep_lo, keep_hi, send_lo, send_hi = lo, mid, mid, hi
         else:
             keep_lo, keep_hi, send_lo, send_hi = mid, hi, lo, mid
-        send_bytes = acc[offs[send_lo] * esize : (offs[send_hi - 1] + cnts[send_hi - 1]) * esize]
-        cc.send(partner, tag + round_no, bytes(send_bytes))
+        send_end = (offs[send_hi - 1] + cnts[send_hi - 1]) * esize
+        cc.send(partner, tag + round_no, memoryview(acc)[offs[send_lo] * esize : send_end])
         keep_elems = offs[keep_hi - 1] + cnts[keep_hi - 1] - offs[keep_lo]
-        incoming = cc.recv(partner, tag + round_no, keep_elems * esize)
-        combine_segment(cc, op, acc, incoming, datatype, offs[keep_lo], keep_elems)
+        cc.recv(partner, tag + round_no, tmp[: keep_elems * esize])
+        combine_segment(cc, op, acc, tmp, datatype, offs[keep_lo], keep_elems)
         lo, hi = keep_lo, keep_hi
         mask //= 2
         round_no += 1
@@ -170,8 +174,8 @@ def _reduce_scatter_halving(
 @register("reduce", "rabenseifner")
 def reduce_rabenseifner(
     cc: CollectiveContext,
-    sendbuf: bytes,
-    recvbuf: Optional[bytearray],
+    sendbuf: BytesLike,
+    recvbuf: Optional[Buffer],
     count: int,
     datatype: Datatype,
     op: Op,
@@ -190,7 +194,7 @@ def reduce_rabenseifner(
     p = cc.size
     esize = datatype.size
     nbytes = count * esize
-    acc = bytearray(sendbuf[:nbytes])
+    acc = bytearray(memoryview(sendbuf)[:nbytes])
     if p <= 1:
         if cc.rank == root and recvbuf is not None:
             recvbuf[:nbytes] = acc
@@ -199,18 +203,20 @@ def reduce_rabenseifner(
     tag = coll_tag(KIND_REDUCE, seq)
     pof2 = largest_power_of_two_leq(p)
     rem = p - pof2
-    vrank = _fold_to_power_of_two(cc, acc, count, datatype, op, tag, rem)
+    tmp = memoryview(bytearray(nbytes))
+    vrank = _fold_to_power_of_two(cc, acc, tmp, count, datatype, op, tag, rem)
 
     cnts = chunk_counts(count, pof2)
     offs = chunk_offsets(cnts)
     if vrank != -1:
-        _reduce_scatter_halving(cc, acc, datatype, op, tag, vrank, pof2, rem, cnts, offs)
+        _reduce_scatter_halving(cc, acc, tmp, datatype, op, tag, vrank, pof2, rem, cnts, offs)
 
     # Gather phase: every chunk owner ships its reduced chunk to the root.
     gather_tag = tag + _GATHER_TAG_OFFSET
     if cc.rank == root:
         # Drain every chunk even when the caller passed no receive buffer, so
         # no message is left behind in the matching engine.
+        out = memoryview(recvbuf if recvbuf is not None else tmp)
         for v in range(pof2):
             if cnts[v] == 0:
                 continue
@@ -218,12 +224,10 @@ def reduce_rabenseifner(
             seg_hi = seg_lo + cnts[v] * esize
             owner = fold_absolute_rank(v, rem)
             if owner == root:
-                segment = bytes(acc[seg_lo:seg_hi])
+                out[seg_lo:seg_hi] = memoryview(acc)[seg_lo:seg_hi]
             else:
-                segment = cc.recv(owner, gather_tag + v, seg_hi - seg_lo)
-            if recvbuf is not None:
-                recvbuf[seg_lo:seg_hi] = segment
+                cc.recv(owner, gather_tag + v, out[seg_lo:seg_hi])
     elif vrank != -1 and cnts[vrank] > 0:
         seg_lo = offs[vrank] * esize
         seg_hi = seg_lo + cnts[vrank] * esize
-        cc.send(root, gather_tag + vrank, bytes(acc[seg_lo:seg_hi]))
+        cc.send(root, gather_tag + vrank, memoryview(acc)[seg_lo:seg_hi])

@@ -20,10 +20,12 @@ payload data and can be built before any communication happens:
 
 * :class:`SendStep` / :class:`RecvStep` -- communicator-local peer exchanges;
   payload bytes are read/written at *execution* time, which is what lets a
-  later round depend on data received in an earlier one.
+  later round depend on data received in an earlier one.  Both hand the
+  context a memoryview slice of the named buffer: a send is snapshotted once
+  by the matching engine, a receive lands straight in the buffer.
 * :class:`CopyStep` -- local byte move between buffers.
 * :class:`ReduceStep` -- combine a contribution into an accumulator segment
-  via the executing call's reduction op (charged as compute time).
+  in place via the executing call's reduction op (charged as compute time).
 
 Builders register per ``(collective, algorithm)`` with
 :func:`register_builder`; the blocking algorithm functions in the sibling
@@ -37,10 +39,13 @@ from typing import Callable, Dict, List, Optional, Tuple, Union
 
 from repro.fault import checkpoint as _checkpoint
 from repro.fault import inject as _inject
-from repro.mpi.algorithms.base import CollectiveContext, combine_segment
+from repro.mpi.algorithms.base import Buffer, CollectiveContext, combine_segment
 from repro.mpi.datatypes import Datatype
 from repro.mpi.ops import Op
 from repro.obs import trace as _trace
+
+#: The payload of zero-byte token messages (barriers).
+_TOKEN = memoryview(b"")
 
 
 class _StepBase:
@@ -218,10 +223,10 @@ class ScheduleExecutor:
         self,
         cc: CollectiveContext,
         schedule: Schedule,
-        buffers: Optional[Dict[str, bytearray]] = None,
+        buffers: Optional[Dict[str, Buffer]] = None,
         datatype: Optional[Datatype] = None,
         op: Optional[Op] = None,
-        on_complete: Optional[Callable[[Dict[str, bytearray]], None]] = None,
+        on_complete: Optional[Callable[[Dict[str, Buffer]], None]] = None,
     ) -> None:
         self._cc = cc
         self._steps = schedule.flat()
@@ -232,7 +237,7 @@ class ScheduleExecutor:
             round_no for round_no, rnd in enumerate(schedule.rounds) for _step in rnd
         ]
         self._pc = 0
-        self.buffers: Dict[str, bytearray] = dict(buffers or {})
+        self.buffers: Dict[str, Buffer] = dict(buffers or {})
         for name, size in schedule.temps.items():
             self.buffers.setdefault(name, bytearray(size))
         self._datatype = datatype
@@ -318,17 +323,14 @@ class ScheduleExecutor:
             step = self._steps[self._pc]
             if isinstance(step, RecvStep):
                 if self._cc.recv_nb is not None:
-                    result = self._cc.recv_nb(step.peer, step.tag, step.nbytes)
-                    if result is None:
+                    arrival = self._cc.recv_nb(step.peer, step.tag, self._view(step))
+                    if arrival is None:
                         return False
-                    data, arrival = result
                     self.data_time = max(self.data_time, arrival)
                     if step.buf is not None:
                         self._buffer_ready[step.buf] = max(
                             self._buffer_ready.get(step.buf, 0.0), arrival
                         )
-                        if step.nbytes > 0:
-                            self.buffers[step.buf][step.lo : step.lo + step.nbytes] = data
                     self._pc += 1
                     if _inject.ARMED or _checkpoint.CAPTURE is not None:
                         self._notify_round()
@@ -474,6 +476,13 @@ class ScheduleExecutor:
             if self._on_complete is not None:
                 self._on_complete(self.buffers)
 
+    def _view(self, step: Union[SendStep, RecvStep]) -> memoryview:
+        """The byte range a send reads or a receive fills: a memoryview slice
+        of the step's buffer (empty for zero-byte tokens), never a copy."""
+        if step.buf is None or step.nbytes == 0:
+            return _TOKEN
+        return memoryview(self.buffers[step.buf])[step.lo : step.lo + step.nbytes]
+
     def _execute(self, step: Step) -> None:
         # Data/round dependency: a send or reduction may read payload consumed
         # by an earlier non-blocking receive, and a new round may only start
@@ -484,20 +493,14 @@ class ScheduleExecutor:
         if needed > 0 and self._cc.advance_to is not None:
             self._cc.advance_to(needed)
         if isinstance(step, SendStep):
-            if step.buf is None or step.nbytes == 0:
-                data = b""
-            else:
-                data = bytes(self.buffers[step.buf][step.lo : step.lo + step.nbytes])
-            self._cc.send(step.peer, step.tag, data)
+            self._cc.send(step.peer, step.tag, self._view(step))
         elif isinstance(step, RecvStep):
-            data = self._cc.recv(step.peer, step.tag, step.nbytes)
-            if step.buf is not None and step.nbytes > 0:
-                self.buffers[step.buf][step.lo : step.lo + step.nbytes] = data
+            self._cc.recv(step.peer, step.tag, self._view(step))
         elif isinstance(step, CopyStep):
             if step.nbytes > 0:
-                self.buffers[step.dst][step.dlo : step.dlo + step.nbytes] = self.buffers[
-                    step.src
-                ][step.slo : step.slo + step.nbytes]
+                self.buffers[step.dst][step.dlo : step.dlo + step.nbytes] = memoryview(
+                    self.buffers[step.src]
+                )[step.slo : step.slo + step.nbytes]
                 # The copy itself is free, but the destination now carries the
                 # source's (possibly still in-flight) data.
                 src_ready = self._buffer_ready.get(step.src, 0.0)
@@ -509,12 +512,11 @@ class ScheduleExecutor:
             if step.count > 0:
                 if self._op is None or self._datatype is None:
                     raise ValueError("schedule has reduce steps but no op/datatype bound")
-                esize = self._datatype.size
-                contribution = bytes(
-                    self.buffers[step.src][step.slo : step.slo + step.count * esize]
-                )
+                lo = step.slo
+                hi = lo + step.count * self._datatype.size
                 combine_segment(
-                    self._cc, self._op, self.buffers[step.dst], contribution,
+                    self._cc, self._op, self.buffers[step.dst],
+                    memoryview(self.buffers[step.src])[lo:hi],
                     self._datatype, step.elem_offset, step.count,
                 )
         else:  # pragma: no cover - registry integrity guard
@@ -524,10 +526,10 @@ class ScheduleExecutor:
 def execute(
     cc: CollectiveContext,
     schedule: Schedule,
-    buffers: Optional[Dict[str, bytearray]] = None,
+    buffers: Optional[Dict[str, Buffer]] = None,
     datatype: Optional[Datatype] = None,
     op: Optional[Op] = None,
-) -> Dict[str, bytearray]:
+) -> Dict[str, Buffer]:
     """Run ``schedule`` to completion (the blocking entry points use this)."""
     executor = ScheduleExecutor(cc, schedule, buffers, datatype, op)
     executor.run_to_completion()

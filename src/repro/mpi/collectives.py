@@ -31,13 +31,14 @@ from repro.mpi.algorithms.base import (
     KIND_GATHER,
     KIND_REDUCE,
     KIND_SCATTER,
+    Buffer,
     CollectiveContext,
     coll_tag as _coll_tag,
 )
 from repro.mpi.algorithms import schedule as schedules
 from repro.mpi.algorithms.schedule import Schedule
 from repro.mpi.datatypes import Datatype
-from repro.mpi.ops import Op
+from repro.mpi.ops import BytesLike, Op
 
 __all__ = [
     "CollectiveContext",
@@ -65,7 +66,7 @@ def barrier(cc: CollectiveContext, seq: int, algorithm: str = "dissemination") -
 
 def bcast(
     cc: CollectiveContext,
-    buffer: bytearray,
+    buffer: Buffer,
     nbytes: int,
     root: int,
     seq: int,
@@ -77,8 +78,8 @@ def bcast(
 
 def reduce(
     cc: CollectiveContext,
-    sendbuf: bytes,
-    recvbuf: Optional[bytearray],
+    sendbuf: BytesLike,
+    recvbuf: Optional[Buffer],
     count: int,
     datatype: Datatype,
     op: Op,
@@ -92,8 +93,8 @@ def reduce(
 
 def allreduce(
     cc: CollectiveContext,
-    sendbuf: bytes,
-    recvbuf: bytearray,
+    sendbuf: BytesLike,
+    recvbuf: Buffer,
     count: int,
     datatype: Datatype,
     op: Op,
@@ -106,8 +107,8 @@ def allreduce(
 
 def gather(
     cc: CollectiveContext,
-    sendbuf: bytes,
-    recvbuf: Optional[bytearray],
+    sendbuf: BytesLike,
+    recvbuf: Optional[Buffer],
     nbytes_per_rank: int,
     root: int,
     seq: int,
@@ -119,8 +120,8 @@ def gather(
 
 def scatter(
     cc: CollectiveContext,
-    sendbuf: Optional[bytes],
-    recvbuf: bytearray,
+    sendbuf: Optional[BytesLike],
+    recvbuf: Buffer,
     nbytes_per_rank: int,
     root: int,
     seq: int,
@@ -132,8 +133,8 @@ def scatter(
 
 def allgather(
     cc: CollectiveContext,
-    sendbuf: bytes,
-    recvbuf: bytearray,
+    sendbuf: BytesLike,
+    recvbuf: Buffer,
     nbytes_per_rank: int,
     seq: int,
     algorithm: str = "ring",
@@ -144,8 +145,8 @@ def allgather(
 
 def alltoall(
     cc: CollectiveContext,
-    sendbuf: bytes,
-    recvbuf: bytearray,
+    sendbuf: BytesLike,
+    recvbuf: Buffer,
     nbytes_per_rank: int,
     seq: int,
     algorithm: str = "pairwise",

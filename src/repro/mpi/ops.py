@@ -8,11 +8,13 @@ guest side plain integers translated by the embedder.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict
+from typing import Dict, Union
 
 import numpy as np
 
 from repro.mpi.datatypes import Datatype
+
+BytesLike = Union[bytes, bytearray, memoryview]
 
 
 @dataclass(frozen=True)
@@ -24,48 +26,56 @@ class Op:
     name:
         MPI name, e.g. ``"MPI_SUM"``.
     fn:
-        Element-wise combine: ``fn(accumulator, contribution) -> combined``.
-        Both arguments are NumPy arrays of the same dtype and shape.
+        Element-wise combine, a binary NumPy ufunc:
+        ``fn(accumulator, contribution) -> combined``.  Both arguments are
+        NumPy arrays of the same dtype and shape; :meth:`reduce_bytes` calls
+        it with ``out=`` to combine in place.  The logical ops return a
+        boolean array, which ``out=`` casts to the buffer's dtype as 1/0.
     commutative:
         Whether the operation is commutative (all predefined ops are).
     """
 
     name: str
-    fn: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    fn: np.ufunc
     commutative: bool = True
 
     def apply(self, acc: np.ndarray, contribution: np.ndarray) -> np.ndarray:
         """Combine ``contribution`` into ``acc`` and return the result."""
         return self.fn(acc, contribution)
 
-    def reduce_bytes(self, acc: bytearray, contribution: bytes, datatype: Datatype, count: int) -> None:
+    def reduce_bytes(self, acc: Union[bytearray, memoryview], contribution: BytesLike,
+                     datatype: Datatype, count: int) -> None:
         """Combine raw byte buffers in place, viewing them as ``datatype``.
 
         This is the path the matching engine and collectives use: buffers are
         raw bytes (possibly views into a Wasm module's linear memory), and the
-        datatype provides the element interpretation.
+        datatype provides the element interpretation.  ``acc`` must be
+        writable -- a ``bytearray`` or a writable memoryview slice -- and is
+        updated in one NumPy pass through the ufunc's ``out=``, with no
+        intermediate copy.
         """
-        dt = datatype.numpy()
         nbytes = count * datatype.size
-        a = np.frombuffer(memoryview(acc)[:nbytes], dtype=dt).copy()
+        if nbytes <= 0:
+            return
+        dt = datatype.numpy()
+        a = np.frombuffer(memoryview(acc)[:nbytes], dtype=dt)
         b = np.frombuffer(memoryview(contribution)[:nbytes], dtype=dt)
-        result = self.fn(a, b)
-        memoryview(acc)[:nbytes] = result.astype(dt, copy=False).tobytes()
+        self.fn(a, b, out=a)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Op({self.name})"
 
 
-SUM = Op("MPI_SUM", lambda a, b: a + b)
-PROD = Op("MPI_PROD", lambda a, b: a * b)
+SUM = Op("MPI_SUM", np.add)
+PROD = Op("MPI_PROD", np.multiply)
 MAX = Op("MPI_MAX", np.maximum)
 MIN = Op("MPI_MIN", np.minimum)
-LAND = Op("MPI_LAND", lambda a, b: ((a != 0) & (b != 0)).astype(a.dtype))
-LOR = Op("MPI_LOR", lambda a, b: ((a != 0) | (b != 0)).astype(a.dtype))
-LXOR = Op("MPI_LXOR", lambda a, b: ((a != 0) ^ (b != 0)).astype(a.dtype))
-BAND = Op("MPI_BAND", lambda a, b: a & b)
-BOR = Op("MPI_BOR", lambda a, b: a | b)
-BXOR = Op("MPI_BXOR", lambda a, b: a ^ b)
+LAND = Op("MPI_LAND", np.logical_and)
+LOR = Op("MPI_LOR", np.logical_or)
+LXOR = Op("MPI_LXOR", np.logical_xor)
+BAND = Op("MPI_BAND", np.bitwise_and)
+BOR = Op("MPI_BOR", np.bitwise_or)
+BXOR = Op("MPI_BXOR", np.bitwise_xor)
 
 PREDEFINED: Dict[str, Op] = {
     op.name: op

@@ -12,16 +12,29 @@ accounting for sends and receives using the cluster's transport models:
 * messages larger than the transport's eager threshold use a rendezvous
   protocol: the sender blocks until the receiver has drained the message.
 
-Data movement is real: send buffers are copied into the message at injection
-time and copied out into the receive buffer at match time, so every benchmark
-and test validates actual payloads, not just timings.
+Data movement is real -- every benchmark and test validates actual payloads,
+not just timings -- and each payload byte is copied once per hop:
+
+* a blocking send whose message takes the rendezvous path *borrows* the
+  sender's buffer: the message carries a read-only view of it, which is safe
+  because the sender stays blocked until the receiver has consumed the
+  message.  Consumption copies the bytes once, straight into the receive
+  buffer, and drops the view, so nothing keeps the sender's memory pinned
+  (a Wasm guest can ``memory.grow`` as soon as ``MPI_Send`` returns);
+* every other send -- eager, non-blocking (``Isend``, ``Sendrecv``,
+  collective sends), and any send while a fault plan is armed (its hooks may
+  rewrite the payload) -- is snapshotted into the message at injection time
+  and copied out into the receive buffer at match time.
+
+Callers hand :meth:`MatchingEngine.post_send` flat unsigned-byte views, so
+``len(data)`` is the message size in bytes.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple, Union
 
 from repro.fault import inject as _inject
 from repro.mpi.errors import TruncationError
@@ -45,7 +58,10 @@ class Message:
     dst_world: int
     context_id: int
     tag: int
-    data: bytes
+    #: The payload: a snapshot, or a read-only view of a blocked sender's
+    #: buffer; emptied once consumed.
+    data: Union[bytes, memoryview]
+    nbytes: int
     send_time: float
     rendezvous: bool = False
     consumed: bool = False
@@ -129,27 +145,36 @@ class MatchingEngine:
         dst_world: int,
         context_id: int,
         tag: int,
-        data: bytes,
+        data: Union[bytes, memoryview],
         extra_overhead: float = 0.0,
         blocking: bool = True,
     ) -> Message:
         """Inject a message; optionally block for rendezvous completion.
 
-        Returns the :class:`Message` record (used by ``MPI_Isend`` requests and
-        by ``Sendrecv`` to defer the rendezvous wait).
+        ``data`` is a flat byte view (or ``bytes``).  A blocking rendezvous
+        send borrows it until consumption; every other send snapshots it here
+        (see the module docstring).  Returns the :class:`Message` record (used
+        by ``MPI_Isend`` requests and by ``Sendrecv`` to defer the rendezvous
+        wait).
         """
         nbytes = len(data)
         transport = self.cluster.transport(src_world, dst_world)
         ctx.advance(transport.send_overhead(nbytes) + extra_overhead)
+        rendezvous = transport.is_rendezvous(nbytes)
+        if blocking and rendezvous and not _inject.ARMED:
+            payload = memoryview(data).toreadonly()
+        else:
+            payload = bytes(data)
         msg = Message(
             msg_id=next(self._msg_counter),
             src_world=src_world,
             dst_world=dst_world,
             context_id=context_id,
             tag=tag,
-            data=bytes(data),
+            data=payload,
+            nbytes=nbytes,
             send_time=ctx.now,
-            rendezvous=transport.is_rendezvous(nbytes),
+            rendezvous=rendezvous,
         )
         if _inject.ARMED:
             verdict, payload, extra_delay = _inject.ACTIVE.on_message(
@@ -198,7 +223,7 @@ class MatchingEngine:
         if _trace.ENABLED:
             _trace.RECORDER.instant(
                 "pt2pt.rendezvous_drain", msg.src_world, ctx.now,
-                args={"dst": msg.dst_world, "tag": msg.tag, "nbytes": len(msg.data)},
+                args={"dst": msg.dst_world, "tag": msg.tag, "nbytes": msg.nbytes},
             )
 
     # ---------------------------------------------------------- any-of waiting
@@ -254,7 +279,8 @@ class MatchingEngine:
         """Blocking receive into ``buffer`` (or a pure timing receive if None).
 
         Raises :class:`TruncationError` if the matched message is larger than
-        ``max_bytes`` -- the same condition ``MPI_ERR_TRUNCATE`` reports.
+        ``max_bytes`` -- the same condition ``MPI_ERR_TRUNCATE`` reports --
+        after consuming it, so its sender still completes.
         """
         msg = self._find_match(dst_world, context_id, src, tag)
         while msg is None:
@@ -269,14 +295,9 @@ class MatchingEngine:
                     self._waiting.pop(dst_world, None)
             msg = self._find_match(dst_world, context_id, src, tag)
         self._queue(dst_world, context_id).remove(msg)
-
-        nbytes = len(msg.data)
-        if nbytes > max_bytes:
-            raise TruncationError(
-                f"message of {nbytes} bytes truncated by receive buffer of {max_bytes} bytes"
-            )
-        ctx.advance_to(self._consume(ctx, msg, buffer, extra_overhead=extra_overhead))
-        return Status(source=msg.src_world, tag=msg.tag, count_bytes=nbytes)
+        arrival = self._consume(ctx, msg, buffer, max_bytes, extra_overhead=extra_overhead)
+        ctx.advance_to(arrival)
+        return Status(source=msg.src_world, tag=msg.tag, count_bytes=msg.nbytes)
 
     def consume_nowait(
         self,
@@ -303,34 +324,39 @@ class MatchingEngine:
         if _trace.ENABLED:
             _trace.RECORDER.instant(
                 "pt2pt.match", dst_world, ctx.now,
-                args={"src": msg.src_world, "tag": msg.tag, "nbytes": len(msg.data)},
+                args={"src": msg.src_world, "tag": msg.tag, "nbytes": msg.nbytes},
             )
         self._queue(dst_world, context_id).remove(msg)
-        nbytes = len(msg.data)
-        if nbytes > max_bytes:
-            raise TruncationError(
-                f"message of {nbytes} bytes truncated by receive buffer of {max_bytes} bytes"
-            )
-        arrival = self._consume(ctx, msg, buffer)
-        return Status(source=msg.src_world, tag=msg.tag, count_bytes=nbytes), arrival
+        arrival = self._consume(ctx, msg, buffer, max_bytes)
+        return Status(source=msg.src_world, tag=msg.tag, count_bytes=msg.nbytes), arrival
 
     def _consume(
         self,
         ctx: RankContext,
         msg: Message,
         buffer: Optional[memoryview],
+        max_bytes: int,
         extra_overhead: float = 0.0,
     ) -> float:
         """Shared consumption core: copy out, charge the receiver's CPU
         overhead, complete a rendezvous.  Returns the arrival time (when the
         last byte is on the receiver); the caller chooses whether to advance
-        the clock to it."""
-        nbytes = len(msg.data)
+        the clock to it.
+
+        A message larger than ``max_bytes`` raises :class:`TruncationError`
+        (``MPI_ERR_TRUNCATE``) -- but only after it has been consumed and its
+        sender woken, as in MPI: the matched send completes either way, so a
+        rendezvous sender never waits on a receive that already failed.
+        """
+        nbytes = msg.nbytes
         transport = self.cluster.transport(msg.src_world, msg.dst_world)
         ctx.advance(transport.recv_overhead(nbytes) + extra_overhead)
         arrival = msg.send_time + transport.transfer_time(nbytes)
-        if buffer is not None and nbytes > 0:
+        truncated = nbytes > max_bytes
+        if buffer is not None and nbytes > 0 and not truncated:
             buffer[:nbytes] = msg.data
+        # Drop the payload: a borrowed view must not outlive the blocked send.
+        msg.data = b""
         msg.consumed = True
         msg.consumed_time = max(ctx.now, arrival)
         if msg.rendezvous:
@@ -341,6 +367,10 @@ class MatchingEngine:
                 "pt2pt.consume", msg.dst_world, ctx.now,
                 args={"src": msg.src_world, "tag": msg.tag, "nbytes": nbytes,
                       "arrival": arrival, "rendezvous": msg.rendezvous},
+            )
+        if truncated:
+            raise TruncationError(
+                f"message of {nbytes} bytes truncated by receive buffer of {max_bytes} bytes"
             )
         return arrival
 
@@ -356,6 +386,6 @@ class MatchingEngine:
         for (dst, ctx_id), q in self._queues.items():
             for m in q:
                 out.append(
-                    f"msg#{m.msg_id} {m.src_world}->{dst} ctx={ctx_id} tag={m.tag} bytes={len(m.data)}"
+                    f"msg#{m.msg_id} {m.src_world}->{dst} ctx={ctx_id} tag={m.tag} bytes={m.nbytes}"
                 )
         return out

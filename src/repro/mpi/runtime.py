@@ -237,14 +237,14 @@ class _PendingCollective:
         return [(self.comm.context_id, self.comm.world_rank(step.peer), step.tag)]
 
 
-def _readable(buf: BufferLike, nbytes: int, what: str) -> bytes:
-    """View the first ``nbytes`` of ``buf`` as immutable bytes."""
+def _readable(buf: BufferLike, nbytes: int, what: str) -> memoryview:
+    """Read-only byte view over the first ``nbytes`` of ``buf`` (no copy)."""
     view = memoryview(buf).cast("B")
     if view.nbytes < nbytes:
         raise InvalidCountError(
             f"{what} buffer of {view.nbytes} bytes is smaller than the {nbytes} bytes requested"
         )
-    return view[:nbytes].tobytes()
+    return view[:nbytes].toreadonly()
 
 
 def _writable(buf: BufferLike, nbytes: int, what: str) -> memoryview:
@@ -844,7 +844,7 @@ class MPIRuntime:
         if msg is None:
             return False, Status()
         local = comm.rank_of_world(msg.src_world)
-        return True, Status(source=local if local is not None else msg.src_world, tag=msg.tag, count_bytes=len(msg.data))
+        return True, Status(source=local if local is not None else msg.src_world, tag=msg.tag, count_bytes=msg.nbytes)
 
     # -------------------------------------------------------------- collectives
 
@@ -914,7 +914,7 @@ class MPIRuntime:
     def _collective_context(self, comm: Communicator) -> coll.CollectiveContext:
         local_rank = self.comm_rank(comm)
 
-        def send(dst_local: int, tag: int, data: bytes) -> None:
+        def send(dst_local: int, tag: int, data: memoryview) -> None:
             self.world.matching.post_send(
                 self.ctx,
                 self.rank_world,
@@ -925,16 +925,13 @@ class MPIRuntime:
                 blocking=False,
             )
 
-        def recv(src_local: int, tag: int, nbytes: int) -> bytes:
-            buf = bytearray(nbytes)
-            view = memoryview(buf) if nbytes > 0 else None
+        def recv(src_local: int, tag: int, into: memoryview) -> None:
             # Weak progress while blocked inside a blocking collective, too:
             # an outstanding non-blocking schedule may owe a peer the very
             # send that lets it reach its part of this collective.
             self._recv_with_progress(
-                comm.context_id, comm.world_rank(src_local), tag, view, nbytes
+                comm.context_id, comm.world_rank(src_local), tag, into, len(into)
             )
-            return bytes(buf)
 
         def compute(seconds: float) -> None:
             self.ctx.advance(seconds)
@@ -944,17 +941,12 @@ class MPIRuntime:
                 self.rank_world, comm.context_id, comm.world_rank(src_local), tag
             )
 
-        def recv_nb(src_local: int, tag: int, nbytes: int):
-            buf = bytearray(nbytes)
-            view = memoryview(buf) if nbytes > 0 else None
+        def recv_nb(src_local: int, tag: int, into: memoryview) -> Optional[float]:
             out = self.world.matching.consume_nowait(
                 self.ctx, self.rank_world, comm.context_id,
-                comm.world_rank(src_local), tag, view, nbytes,
+                comm.world_rank(src_local), tag, into, len(into),
             )
-            if out is None:
-                return None
-            _status, arrival = out
-            return bytes(buf), arrival
+            return None if out is None else out[1]
 
         return coll.CollectiveContext(
             rank=local_rank,
@@ -992,15 +984,12 @@ class MPIRuntime:
         comm = comm or self.comm_world
         self._check_root(comm, root)
         nbytes = count * datatype.size
-        view = _writable(buf, nbytes, "bcast") if nbytes > 0 else memoryview(bytearray(0))
-        tmp = bytearray(view.tobytes()) if nbytes > 0 else bytearray(0)
+        view = _writable(buf, nbytes, "bcast") if nbytes > 0 else bytearray(0)
         algorithm = self._select_algorithm("bcast", comm, nbytes)
         coll.bcast(
-            self._collective_context(comm), tmp, nbytes, root, self._next_seq(comm),
+            self._collective_context(comm), view, nbytes, root, self._next_seq(comm),
             algorithm=algorithm,
         )
-        if nbytes > 0:
-            view[:nbytes] = tmp[:nbytes]
 
     @_traced("MPI_Reduce")
     def reduce(
@@ -1018,15 +1007,19 @@ class MPIRuntime:
         comm = comm or self.comm_world
         self._check_root(comm, root)
         nbytes = count * datatype.size
-        send_bytes = _readable(sendbuf, nbytes, "reduce send")
-        out = bytearray(nbytes) if self.comm_rank(comm) == root else None
+        send_view = _readable(sendbuf, nbytes, "reduce send")
+        out = None
+        if self.comm_rank(comm) == root:
+            out = (
+                _writable(recvbuf, nbytes, "reduce recv")
+                if recvbuf is not None and nbytes > 0
+                else bytearray(nbytes)
+            )
         algorithm = self._select_algorithm("reduce", comm, nbytes)
         coll.reduce(
-            self._collective_context(comm), send_bytes, out, count, datatype, op, root,
+            self._collective_context(comm), send_view, out, count, datatype, op, root,
             self._next_seq(comm), algorithm=algorithm,
         )
-        if out is not None and recvbuf is not None and nbytes > 0:
-            _writable(recvbuf, nbytes, "reduce recv")[:nbytes] = out
 
     @_traced("MPI_Allreduce")
     def allreduce(
@@ -1042,15 +1035,13 @@ class MPIRuntime:
         self._require_init()
         comm = comm or self.comm_world
         nbytes = count * datatype.size
-        send_bytes = _readable(sendbuf, nbytes, "allreduce send")
-        out = bytearray(nbytes)
+        send_view = _readable(sendbuf, nbytes, "allreduce send")
+        out = _writable(recvbuf, nbytes, "allreduce recv") if nbytes > 0 else bytearray(0)
         algorithm = self._select_algorithm("allreduce", comm, nbytes)
         coll.allreduce(
-            self._collective_context(comm), send_bytes, out, count, datatype, op,
+            self._collective_context(comm), send_view, out, count, datatype, op,
             self._next_seq(comm), algorithm=algorithm,
         )
-        if nbytes > 0:
-            _writable(recvbuf, nbytes, "allreduce recv")[:nbytes] = out
 
     @_traced("MPI_Gather")
     def gather(
@@ -1069,20 +1060,23 @@ class MPIRuntime:
         comm = comm or self.comm_world
         self._check_root(comm, root)
         nbytes = sendcount * sendtype.size
-        send_bytes = _readable(sendbuf, nbytes, "gather send")
+        send_view = _readable(sendbuf, nbytes, "gather send")
         is_root = self.comm_rank(comm) == root
-        out = bytearray(nbytes * comm.size) if is_root else None
+        out = None
+        if is_root:
+            out = (
+                _writable(recvbuf, recvcount * recvtype.size * comm.size, "gather recv")
+                if recvbuf is not None
+                else bytearray(nbytes * comm.size)
+            )
         algorithm = self._select_algorithm(
             "gather", comm, nbytes,
             bytes_moved=nbytes * comm.size if is_root else nbytes,
         )
         coll.gather(
-            self._collective_context(comm), send_bytes, out, nbytes, root,
+            self._collective_context(comm), send_view, out, nbytes, root,
             self._next_seq(comm), algorithm=algorithm,
         )
-        if is_root and recvbuf is not None:
-            total = recvcount * recvtype.size * comm.size
-            _writable(recvbuf, total, "gather recv")[: nbytes * comm.size] = out
 
     @_traced("MPI_Scatter")
     def scatter(
@@ -1102,19 +1096,17 @@ class MPIRuntime:
         self._check_root(comm, root)
         nbytes = recvcount * recvtype.size
         is_root = self.comm_rank(comm) == root
-        send_bytes = (
+        send_view = (
             _readable(sendbuf, nbytes * comm.size, "scatter send") if is_root and sendbuf is not None else None
         )
-        out = bytearray(nbytes)
         algorithm = self._select_algorithm(
             "scatter", comm, nbytes,
             bytes_moved=nbytes * comm.size if is_root else nbytes,
         )
         coll.scatter(
-            self._collective_context(comm), send_bytes, out, nbytes, root,
-            self._next_seq(comm), algorithm=algorithm,
+            self._collective_context(comm), send_view, _writable(recvbuf, nbytes, "scatter recv"),
+            nbytes, root, self._next_seq(comm), algorithm=algorithm,
         )
-        _writable(recvbuf, nbytes, "scatter recv")[:nbytes] = out
 
     @_traced("MPI_Allgather")
     def allgather(
@@ -1131,14 +1123,13 @@ class MPIRuntime:
         self._require_init()
         comm = comm or self.comm_world
         nbytes = sendcount * sendtype.size
-        send_bytes = _readable(sendbuf, nbytes, "allgather send")
-        out = bytearray(nbytes * comm.size)
+        send_view = _readable(sendbuf, nbytes, "allgather send")
+        out = _writable(recvbuf, nbytes * comm.size, "allgather recv")
         algorithm = self._select_algorithm("allgather", comm, nbytes, bytes_moved=nbytes * comm.size)
         coll.allgather(
-            self._collective_context(comm), send_bytes, out, nbytes,
+            self._collective_context(comm), send_view, out, nbytes,
             self._next_seq(comm), algorithm=algorithm,
         )
-        _writable(recvbuf, nbytes * comm.size, "allgather recv")[: nbytes * comm.size] = out
 
     @_traced("MPI_Alltoall")
     def alltoall(
@@ -1155,14 +1146,13 @@ class MPIRuntime:
         self._require_init()
         comm = comm or self.comm_world
         nbytes = sendcount * sendtype.size
-        send_bytes = _readable(sendbuf, nbytes * comm.size, "alltoall send")
-        out = bytearray(nbytes * comm.size)
+        send_view = _readable(sendbuf, nbytes * comm.size, "alltoall send")
+        out = _writable(recvbuf, nbytes * comm.size, "alltoall recv")
         algorithm = self._select_algorithm("alltoall", comm, nbytes, bytes_moved=nbytes * comm.size)
         coll.alltoall(
-            self._collective_context(comm), send_bytes, out, nbytes,
+            self._collective_context(comm), send_view, out, nbytes,
             self._next_seq(comm), algorithm=algorithm,
         )
-        _writable(recvbuf, nbytes * comm.size, "alltoall recv")[: nbytes * comm.size] = out
 
     def _check_root(self, comm: Communicator, root: int) -> None:
         if not 0 <= root < comm.size:
@@ -1204,11 +1194,7 @@ class MPIRuntime:
         nbytes = count * datatype.size
         # Buffers are materialised transiently (and again at completion), so
         # no view into guest memory outlives this call -- see LazyBuffer.
-        data = (
-            bytearray(_writable(_supplied(buf), nbytes, "bcast").tobytes())
-            if nbytes > 0
-            else bytearray(0)
-        )
+        data = bytearray(_writable(_supplied(buf), nbytes, "bcast")) if nbytes > 0 else bytearray(0)
         algorithm = self._select_algorithm("bcast", comm, nbytes, schedule_only=True)
         schedule = coll.bcast_schedule(
             algorithm, self.comm_rank(comm), comm.size, nbytes, root, self._next_seq(comm)
@@ -1234,7 +1220,7 @@ class MPIRuntime:
         self._require_init()
         comm = comm or self.comm_world
         nbytes = count * datatype.size
-        send_bytes = _readable(_supplied(sendbuf), nbytes, "allreduce send")
+        acc = bytearray(_readable(_supplied(sendbuf), nbytes, "allreduce send"))
         if nbytes > 0:
             _writable(_supplied(recvbuf), nbytes, "allreduce recv")  # validate early
         algorithm = self._select_algorithm("allreduce", comm, nbytes, schedule_only=True)
@@ -1249,7 +1235,7 @@ class MPIRuntime:
                 )
 
         return self._start_collective(
-            "iallreduce", comm, schedule, {"acc": bytearray(send_bytes)},
+            "iallreduce", comm, schedule, {"acc": acc},
             datatype=datatype, op=op, finalize=finalize,
         )
 
@@ -1269,7 +1255,7 @@ class MPIRuntime:
         comm = comm or self.comm_world
         nbytes = sendcount * sendtype.size
         total = nbytes * comm.size
-        send_bytes = _readable(_supplied(sendbuf), nbytes, "allgather send")
+        send_copy = bytearray(_readable(_supplied(sendbuf), nbytes, "allgather send"))
         if total > 0:
             _writable(_supplied(recvbuf), total, "allgather recv")  # validate early
         algorithm = self._select_algorithm(
@@ -1287,7 +1273,7 @@ class MPIRuntime:
 
         return self._start_collective(
             "iallgather", comm, schedule,
-            {"send": bytearray(send_bytes), "recv": bytearray(total)},
+            {"send": send_copy, "recv": bytearray(total)},
             finalize=finalize,
         )
 
@@ -1307,7 +1293,7 @@ class MPIRuntime:
         comm = comm or self.comm_world
         nbytes = sendcount * sendtype.size
         total = nbytes * comm.size
-        send_bytes = _readable(_supplied(sendbuf), total, "alltoall send")
+        send_copy = bytearray(_readable(_supplied(sendbuf), total, "alltoall send"))
         if total > 0:
             _writable(_supplied(recvbuf), total, "alltoall recv")  # validate early
         algorithm = self._select_algorithm(
@@ -1325,7 +1311,7 @@ class MPIRuntime:
 
         return self._start_collective(
             "ialltoall", comm, schedule,
-            {"send": bytearray(send_bytes), "recv": bytearray(total)},
+            {"send": send_copy, "recv": bytearray(total)},
             finalize=finalize,
         )
 

@@ -347,3 +347,96 @@ def test_guest_exit_code_via_proc_exit():
     job = run_wasm(program, 1, machine="graviton2")
     assert job.exit_codes() == [3]
     assert "bye" in job.stdout
+
+
+# ------------------------------------------- borrowed send buffers (guest ABI)
+
+#: Doubles per message: 256 KiB, above every transport's eager threshold.
+_RENDEZVOUS_COUNT = 32768
+
+
+def _run_guest(main, nranks=2):
+    from repro.api import Session
+
+    with Session(backend="cranelift", machine="graviton2") as session:
+        return session.run(GuestProgram(name=main.__name__, main=main), nranks)
+
+
+def test_blocking_rendezvous_send_leaves_no_view_pinning_guest_memory():
+    """A blocking rendezvous MPI_Send lends the guest buffer to the message
+    until the receiver consumes it; once MPI_Send returns nothing may still
+    export it, or ``memory.grow`` would raise BufferError."""
+    n = _RENDEZVOUS_COUNT
+
+    def rendezvous_then_grow(api, args):
+        api.mpi_init()
+        rank = api.rank()
+        ptr, arr = api.alloc_array(n, abi.MPI_DOUBLE, fill=float(rank + 1))
+        del arr  # our own view would pin linear memory too
+        if rank == 0:
+            api.send(ptr, n, abi.MPI_DOUBLE, 1, 0)
+        else:
+            api.recv(ptr, n, abi.MPI_DOUBLE, 0, 0)
+        grown_from = api.instance.exported_memory().grow(1)
+        received = api.ndarray(ptr, n, abi.MPI_DOUBLE)
+        ends = [float(received[0]), float(received[-1])]
+        del received
+        api.mpi_finalize()
+        return grown_from, ends
+
+    results = _run_guest(rendezvous_then_grow).return_values()
+    assert all(grown_from > 0 for grown_from, _ in results)
+    assert [ends for _, ends in results] == [[1.0, 1.0], [1.0, 1.0]]
+
+
+def test_isend_snapshots_the_guest_buffer_at_post():
+    """MPI_Isend must not borrow: the sender runs on after the post, so
+    bytes it writes afterwards never reach the receiver."""
+    n = _RENDEZVOUS_COUNT
+
+    def isend_then_overwrite(api, args):
+        api.mpi_init()
+        rank = api.rank()
+        ptr, arr = api.alloc_array(n, abi.MPI_DOUBLE, fill=7.0)
+        if rank == 0:
+            req = api.isend(ptr, n, abi.MPI_DOUBLE, 1, 0)
+            arr[:] = -1.0
+            api.wait(req)
+            result = None
+        else:
+            arr[:] = 0.0
+            api.recv(ptr, n, abi.MPI_DOUBLE, 0, 0)
+            result = sorted(set(arr.tolist()))
+        api.mpi_finalize()
+        return result
+
+    assert _run_guest(isend_then_overwrite).return_values()[1] == [7.0]
+
+
+def test_corrupt_message_on_rendezvous_send_leaves_sender_buffer_untouched():
+    """An armed fault plan may rewrite the payload, so rendezvous sends fall
+    back to a snapshot: the corruption reaches the receiver only."""
+    from repro.fault import Fault, FaultPlan, inject_faults
+
+    n = _RENDEZVOUS_COUNT
+
+    def corrupted_rendezvous(api, args):
+        api.mpi_init()
+        rank = api.rank()
+        ptr, arr = api.alloc_array(n, abi.MPI_DOUBLE)
+        arr[:] = np.arange(n, dtype=np.float64)
+        if rank == 0:
+            api.send(ptr, n, abi.MPI_DOUBLE, 1, 0)
+        else:
+            api.recv(ptr, n, abi.MPI_DOUBLE, 0, 0)
+        result = np.array_equal(arr, np.arange(n, dtype=np.float64))
+        api.mpi_finalize()
+        return bool(result)
+
+    plan = FaultPlan(faults=(Fault(kind="corrupt_message", src=0, dst=1),), seed=11)
+    with inject_faults(plan) as active:
+        sender_intact, receiver_intact = _run_guest(corrupted_rendezvous).return_values()
+    assert active.fired and active.fired[0]["kind"] == "corrupt_message"
+    assert active.fired[0]["nbytes"] == n * 8
+    assert sender_intact
+    assert not receiver_intact

@@ -86,6 +86,72 @@ def test_truncation_error_when_buffer_too_small():
     assert run_mpi_program(program, 2)[1] == "checked"
 
 
+def _await_message(rt, source, tag):
+    while not rt.iprobe(source, tag)[0]:
+        pass
+
+
+@pytest.mark.parametrize("receive", ["recv", "irecv", "consume_nowait"])
+def test_truncated_rendezvous_receive_completes_the_blocked_send(receive):
+    """MPI_ERR_TRUNCATE still matches and consumes the message: the blocked
+    rendezvous sender must be released, not left to deadlock the job."""
+    count = 100_000  # 800 kB: rendezvous on every transport
+
+    def program(rt, ctx):
+        if ctx.rank == 0:
+            rt.send(np.zeros(count, dtype=np.float64), count, datatypes.DOUBLE, dest=1, tag=0)
+            return "sent"
+        buf = np.zeros(10, dtype=np.float64)
+        with pytest.raises(TruncationError):
+            if receive == "recv":
+                rt.recv(buf, 10, datatypes.DOUBLE, source=0, tag=0)
+            elif receive == "irecv":
+                rt.wait(rt.irecv(buf, 10, datatypes.DOUBLE, source=0, tag=0))
+            else:
+                _await_message(rt, 0, 0)
+                rt.world.matching.consume_nowait(
+                    ctx, 1, rt.comm_world.context_id, 0, 0, memoryview(buf).cast("B"), buf.nbytes
+                )
+        assert rt.world.matching.pending_count() == 0
+        return "checked"
+
+    assert run_mpi_program(program, 2) == ["sent", "checked"]
+
+
+def test_only_a_blocking_rendezvous_send_borrows_the_sender_buffer():
+    """A blocking rendezvous send queues a read-only view of the sender's
+    buffer (the sender is parked until consumption); eager and non-blocking
+    sends queue a snapshot.  Consumption copies once and drops the payload."""
+    big = 1 << 17  # rendezvous
+    small = 64  # eager
+
+    def program(rt, ctx):
+        if ctx.rank == 0:
+            payload = np.arange(big, dtype=np.uint8)
+            rt.send(payload[:small], small, datatypes.BYTE, dest=1, tag=1)
+            rt.wait(rt.isend(payload, big, datatypes.BYTE, dest=1, tag=2))
+            rt.send(payload, big, datatypes.BYTE, dest=1, tag=3)
+            return None
+        observed = {}
+        for tag, nbytes in ((1, small), (2, big), (3, big)):
+            _await_message(rt, 0, tag)
+            msg = rt.world.matching.probe_match(1, rt.comm_world.context_id, 0, tag)
+            borrowed = isinstance(msg.data, memoryview)
+            readonly = msg.data.readonly if borrowed else True
+            buf = np.zeros(nbytes, dtype=np.uint8)
+            rt.recv(buf, nbytes, datatypes.BYTE, source=0, tag=tag)
+            assert np.array_equal(buf, np.arange(big, dtype=np.uint8)[:nbytes])
+            observed[tag] = (borrowed, readonly, msg.data == b"", msg.nbytes)
+        return observed
+
+    observed = run_mpi_program(program, 2)[1]
+    assert observed == {
+        1: (False, True, True, small),
+        2: (False, True, True, big),
+        3: (True, True, True, big),
+    }
+
+
 def test_proc_null_send_recv_are_noops():
     def program(rt, ctx):
         rt.send(np.zeros(1, dtype=np.int32), 1, datatypes.INT, dest=PROC_NULL, tag=0)
