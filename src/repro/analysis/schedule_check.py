@@ -25,8 +25,8 @@ rank set (up to 4096 by default).  Builders with O(p) steps per rank cost
 O(p^2) total steps, which pure-Python construction cannot do at 4096 ranks
 in reasonable time, so the sweep carries a per-point step budget: oversized
 points are skipped with an explicit ``NOTE`` finding (never silently) and
-``max_steps=0`` removes the cap.  ROADMAP item 3's hierarchical builders
-should clear this sweep before registration (see docs/ANALYSIS.md).
+``max_steps=0`` removes the cap.  New builders should clear this sweep
+before registration (see docs/ANALYSIS.md).
 """
 
 from __future__ import annotations
@@ -34,11 +34,9 @@ from __future__ import annotations
 import bisect
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-# Importing the algorithms package registers every bundled schedule builder.
-import repro.mpi.algorithms  # noqa: F401  (import for side effect)
 from repro.analysis.findings import Report, Severity
+from repro.mpi.algorithms import registry
 from repro.mpi.algorithms.schedule import (
-    _BUILDERS,
     CopyStep,
     RecvStep,
     ReduceStep,
@@ -46,8 +44,10 @@ from repro.mpi.algorithms.schedule import (
     SendStep,
 )
 
-#: Element size used when a byte count must be turned into an element count
-#: for the reduction collectives (value is irrelevant to the invariants).
+#: Element size a sweep point uses when ``nbytes`` is a multiple of it (other
+#: sizes are ``nbytes`` one-byte elements, as with ``MPI_BYTE``).  Any size > 1
+#: keeps element offsets and byte offsets apart, so a builder that confuses
+#: them is caught.
 ESIZE = 4
 
 #: Per-point construction budget (total steps across all ranks) used by the
@@ -55,8 +55,8 @@ ESIZE = 4
 #: logarithmic-step algorithms still reach 4096 ranks.
 DEFAULT_MAX_STEPS = 2_000_000
 
-#: Collectives whose builder signature carries a root rank.
-_ROOTED = ("bcast", "reduce")
+#: Collectives whose schedules depend on the root rank.
+_ROOTED = ("bcast", "reduce", "gather", "scatter")
 
 
 def parse_nranks_spec(spec: str) -> List[int]:
@@ -99,33 +99,25 @@ DEFAULT_NBYTES: Tuple[int, ...] = (4, 4096)
 
 
 def registered_points() -> List[Tuple[str, str]]:
-    """Every registered ``(collective, algorithm)`` with a schedule builder."""
-    return sorted(_BUILDERS)
+    """Every registered ``(collective, algorithm)`` pair."""
+    return [(collective, algorithm)
+            for collective, algorithms in sorted(registry.catalog().items())
+            for algorithm in algorithms]
+
+
+def payload_shape(nbytes: int) -> Tuple[int, int]:
+    """``(count, esize)`` of a sweep point whose payload is exactly ``nbytes``:
+    :data:`ESIZE`-byte elements when they divide it, else one-byte ones."""
+    if nbytes % ESIZE == 0:
+        return nbytes // ESIZE, ESIZE
+    return nbytes, 1
 
 
 def build_schedule(collective: str, algorithm: str, rank: int, size: int,
                    nbytes: int, root: int = 0, seq: int = 0) -> Schedule:
-    """Build one rank's schedule through the registered builder, adapting
-    ``nbytes`` to the per-collective builder signature."""
-    builder = _BUILDERS[(collective, algorithm)]
-    if collective == "barrier":
-        return builder(rank, size, seq)
-    if collective == "bcast":
-        return builder(rank, size, nbytes, root, seq)
-    if collective == "reduce":
-        return builder(rank, size, max(1, nbytes // ESIZE), ESIZE, root, seq)
-    if collective == "allreduce":
-        return builder(rank, size, max(1, nbytes // ESIZE), ESIZE, seq)
-    if collective in ("allgather", "alltoall"):
-        return builder(rank, size, nbytes, seq)
-    raise KeyError(f"no builder signature adapter for collective {collective!r}")
-
-
-def _payload_bytes(collective: str, nbytes: int) -> int:
-    """Bytes actually carried per rank once ``nbytes`` is element-rounded."""
-    if collective in ("reduce", "allreduce"):
-        return max(1, nbytes // ESIZE) * ESIZE
-    return nbytes
+    """Build one rank's schedule through the registered builder."""
+    count, esize = payload_shape(nbytes)
+    return registry.get(collective, algorithm)(rank, size, count, esize, root, seq)
 
 
 def _rank_buffers(collective: str, rank: int, size: int, nbytes: int, root: int):
@@ -137,7 +129,7 @@ def _rank_buffers(collective: str, rank: int, size: int, nbytes: int, root: int)
     this rank (``None`` when the rank produces no result, e.g. non-root
     reduce), with prewritten outputs treated as already covered.
     """
-    payload = _payload_bytes(collective, nbytes)
+    payload = nbytes
     if collective == "barrier":
         return {}, frozenset(), None
     if collective == "bcast":
@@ -153,6 +145,20 @@ def _rank_buffers(collective: str, rank: int, size: int, nbytes: int, root: int)
         return known, frozenset(["acc"]), out
     if collective == "allreduce":
         return {"acc": payload}, frozenset(["acc"]), ("acc", payload)
+    if collective == "gather":
+        known = {"send": payload}
+        out = None
+        if rank == root:
+            known["recv"] = size * payload
+            out = ("recv", size * payload)
+        return known, frozenset(["send"]), out
+    if collective == "scatter":
+        known = {"recv": payload}
+        pre = frozenset()
+        if rank == root:
+            known["send"] = size * payload
+            pre = frozenset(["send"])
+        return known, pre, ("recv", payload)
     if collective == "allgather":
         known = {"send": payload, "recv": size * payload}
         return known, frozenset(["send"]), ("recv", size * payload)
@@ -226,6 +232,7 @@ def _check_rank_local(
     known: Dict[str, int],
     prewritten: frozenset,
     output: Optional[Tuple[str, int]],
+    esize: int,
 ) -> _RankComms:
     """Single in-order pass over one rank's steps: byte conservation,
     bounds, and result coverage; returns the retained comm steps."""
@@ -282,8 +289,8 @@ def _check_rank_local(
             _check_ref(pc, step, step.dst, step.dlo, step.dlo + step.nbytes,
                        reads=False, writes=True)
         elif isinstance(step, ReduceStep):
-            nbytes = step.count * ESIZE
-            dlo = step.elem_offset * ESIZE
+            nbytes = step.count * esize
+            dlo = step.elem_offset * esize
             _check_ref(pc, step, step.src, step.slo, step.slo + nbytes,
                        reads=True, writes=False)
             # The accumulator is read *and* written: combining into
@@ -453,11 +460,12 @@ def check_schedules(
     """
     report = report if report is not None else Report()
     p = len(schedules)
+    esize = payload_shape(nbytes)[1]
     comms: List[_RankComms] = []
     for rank, schedule in enumerate(schedules):
         known, prewritten, output = _rank_buffers(collective, rank, p, nbytes, root)
         comms.append(_check_rank_local(report, loc, rank, schedule,
-                                       known, prewritten, output))
+                                       known, prewritten, output, esize))
     _check_cross_rank(report, loc, comms)
     return report
 
@@ -482,6 +490,7 @@ def check_point(
     if collective in _ROOTED and root:
         loc += f" root={root}"
     report_start = len(report.findings)
+    esize = payload_shape(nbytes)[1]
     comms: List[_RankComms] = []
     total = 0
     for rank in range(nranks):
@@ -496,7 +505,7 @@ def check_point(
             return report
         known, prewritten, output = _rank_buffers(collective, rank, nranks, nbytes, root)
         comms.append(_check_rank_local(report, loc, rank, schedule,
-                                       known, prewritten, output))
+                                       known, prewritten, output, esize))
     _check_cross_rank(report, loc, comms)
     return report
 

@@ -167,7 +167,7 @@ MACHINES = Registry("machine preset", populate=("repro.sim.machines",))
 #: Guest benchmarks (zero-argument factories returning a ``GuestProgram``).
 BENCHMARKS = Registry("benchmark", populate=("repro.benchmarks_suite.registry",))
 
-#: Collective algorithms, keyed ``"<collective>:<algorithm>"``.
+#: Collective algorithms (schedule builders), keyed ``"<collective>:<algorithm>"``.
 ALGORITHMS = Registry("collective algorithm", populate=("repro.mpi.algorithms",))
 
 #: Experiment drivers (one callable per table/figure of the paper).
@@ -235,10 +235,13 @@ def algorithm_key(collective: str, name: str) -> str:
 
 
 def register_algorithm(collective: str, name: str, *, override: bool = False):
-    """Decorator registering a collective algorithm implementation.
+    """Decorator registering a collective algorithm's schedule builder.
 
-    Same contract as ``repro.mpi.algorithms.registry.register`` (which
-    delegates here): the collective must be one of the dispatched ones.
+    The one registration path for collective algorithms (bundled ones use it
+    as ``repro.mpi.algorithms.registry.register``).  The collective must be
+    one of the dispatched ones, and the builder has the signature
+    ``build(rank, size, count, esize, root, seq) -> Schedule`` shared by all
+    of them (see :mod:`repro.mpi.algorithms.registry`).
     """
     from repro.mpi.algorithms import registry as mpi_registry
 

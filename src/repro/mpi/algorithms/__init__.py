@@ -1,13 +1,18 @@
 """Pluggable collective-algorithm subsystem.
 
 Mirrors the role of Open MPI's ``coll/tuned`` component for the simulated
-host MPI library: every collective has several interchangeable algorithm
-implementations in a registry keyed by ``(collective, algorithm)``, and a
-size-based decision layer picks one per call -- overridable per job through
+host MPI library: every collective has several interchangeable algorithms in
+a registry keyed by ``(collective, algorithm)``, and a size-based decision
+layer picks one per call -- overridable per job through
 :class:`repro.core.config.EmbedderConfig` or the ``REPRO_COLL_ALGO``
 environment knob (see :mod:`repro.mpi.algorithms.decision`).
 
-Importing this package populates the registry with the bundled algorithms:
+Every algorithm has one representation: a schedule builder
+(:mod:`repro.mpi.algorithms.schedule`, libNBC's model), which the blocking
+collectives run to completion and the non-blocking ones advance
+incrementally, and which ``repro-harness analyze schedules`` verifies
+statically.  Importing this package populates the registry with the bundled
+algorithms:
 
 ========== =====================================
 collective algorithms

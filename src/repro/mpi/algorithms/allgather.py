@@ -1,36 +1,24 @@
 """Allgather algorithms: ring and Bruck.
 
-Both are expressed as schedules over two named buffers: ``"send"`` (this
-rank's block) and ``"recv"`` (``p`` blocks, the result).  The registered
-blocking functions execute the same schedules ``MPI_Iallgather`` advances
-incrementally.
+Both are schedules over two named buffers: ``"send"`` (this rank's block)
+and ``"recv"`` (``p`` blocks, the result).  ``MPI_Allgather`` runs one to
+completion and ``MPI_Iallgather`` advances the same schedule incrementally.
 """
 
 from __future__ import annotations
 
-from repro.mpi.algorithms.base import KIND_ALLGATHER, Buffer, CollectiveContext, coll_tag
+from repro.mpi.algorithms.base import KIND_ALLGATHER, RECV, SEND, coll_tag
 from repro.mpi.algorithms.registry import register
-from repro.mpi.algorithms.schedule import (
-    CopyStep,
-    RecvStep,
-    Schedule,
-    SendStep,
-    execute,
-    register_builder,
-)
-from repro.mpi.ops import BytesLike
-
-#: Buffer names every allgather schedule uses.
-SEND = "send"
-RECV = "recv"
+from repro.mpi.algorithms.schedule import CopyStep, RecvStep, Schedule, SendStep
 
 
-@register_builder("allgather", "ring")
-def build_allgather_ring(rank: int, size: int, nbytes_per_rank: int, seq: int) -> Schedule:
+@register("allgather", "ring")
+def build_allgather_ring(rank: int, size: int, count: int, esize: int,
+                         root: int, seq: int) -> Schedule:
     """Ring allgather: ``p - 1`` rounds, each forwarding the next rank's block."""
     sched = Schedule()
     p = size
-    b = nbytes_per_rank
+    b = count * esize
     tag = coll_tag(KIND_ALLGATHER, seq)
     sched.round([CopyStep(SEND, 0, RECV, rank * b, b)])
     if p <= 1:
@@ -48,8 +36,9 @@ def build_allgather_ring(rank: int, size: int, nbytes_per_rank: int, seq: int) -
     return sched
 
 
-@register_builder("allgather", "bruck")
-def build_allgather_bruck(rank: int, size: int, nbytes_per_rank: int, seq: int) -> Schedule:
+@register("allgather", "bruck")
+def build_allgather_bruck(rank: int, size: int, count: int, esize: int,
+                          root: int, seq: int) -> Schedule:
     """Bruck allgather: ``ceil(log2 p)`` rounds of doubling block exchanges.
 
     After the round at distance ``d``, position ``j`` of the rotated working
@@ -59,7 +48,7 @@ def build_allgather_bruck(rank: int, size: int, nbytes_per_rank: int, seq: int) 
     """
     sched = Schedule()
     p = size
-    b = nbytes_per_rank
+    b = count * esize
     sched.round([CopyStep(SEND, 0, RECV, rank * b, b)])
     if p <= 1:
         return sched
@@ -84,28 +73,3 @@ def build_allgather_bruck(rank: int, size: int, nbytes_per_rank: int, seq: int) 
     ])
     return sched
 
-
-@register("allgather", "ring")
-def allgather_ring(
-    cc: CollectiveContext,
-    sendbuf: BytesLike,
-    recvbuf: Buffer,
-    nbytes_per_rank: int,
-    seq: int,
-) -> None:
-    """Blocking ring allgather (executes the schedule in place)."""
-    sched = build_allgather_ring(cc.rank, cc.size, nbytes_per_rank, seq)
-    execute(cc, sched, {SEND: memoryview(sendbuf)[:nbytes_per_rank], RECV: recvbuf})
-
-
-@register("allgather", "bruck")
-def allgather_bruck(
-    cc: CollectiveContext,
-    sendbuf: BytesLike,
-    recvbuf: Buffer,
-    nbytes_per_rank: int,
-    seq: int,
-) -> None:
-    """Blocking Bruck allgather (executes the schedule in place)."""
-    sched = build_allgather_bruck(cc.rank, cc.size, nbytes_per_rank, seq)
-    execute(cc, sched, {SEND: memoryview(sendbuf)[:nbytes_per_rank], RECV: recvbuf})

@@ -1,66 +1,32 @@
 """Allreduce algorithms: recursive doubling, ring, and reduce+bcast.
 
-Recursive doubling and the ring are expressed as schedules over the
-accumulator buffer ``"acc"`` (initialised with this rank's contribution and
-holding the result at completion); the registered blocking functions execute
-the same schedules ``MPI_Iallreduce`` advances incrementally, with the
-caller's receive buffer as the accumulator.  The composed
-``reduce_bcast`` algorithm stays a composition of the (schedule-based)
-binomial reduce and bcast.
+All three are schedules over the accumulator buffer ``"acc"`` (initialised
+with this rank's contribution and holding the result at completion); the
+blocking ``MPI_Allreduce`` binds the caller's receive buffer as the
+accumulator and ``MPI_Iallreduce`` advances the same schedule incrementally.
 """
 
 from __future__ import annotations
 
 from repro.mpi.algorithms.base import (
+    ACC,
     KIND_ALLREDUCE,
-    Buffer,
-    CollectiveContext,
+    KIND_BCAST,
+    KIND_REDUCE,
     chunk_counts,
     chunk_offsets,
     coll_tag,
     fold_absolute_rank,
     largest_power_of_two_leq,
 )
+from repro.mpi.algorithms.bcast import binomial_bcast_rounds
+from repro.mpi.algorithms.reduce import binomial_reduce_rounds, fold_rounds
 from repro.mpi.algorithms.registry import register
-from repro.mpi.algorithms.schedule import (
-    RecvStep,
-    ReduceStep,
-    Schedule,
-    SendStep,
-    execute,
-    register_builder,
-)
-from repro.mpi.datatypes import Datatype
-from repro.mpi.ops import BytesLike, Op
+from repro.mpi.algorithms.schedule import RecvStep, ReduceStep, Schedule, SendStep
 
 # Tag offset for the post-phase that hands results back to folded-out ranks
 # (doubling rounds use offsets 1..log2(p), far below 63).
 _UNFOLD_TAG_OFFSET = 63
-
-#: Accumulator buffer name every allreduce schedule reads and writes.
-ACC = "acc"
-
-
-def _fold_rounds(sched: Schedule, rank: int, count: int, esize: int, tag: int,
-                 rem: int, tmp: str) -> int:
-    """Emit the fold pre-phase for non-power-of-two sizes.
-
-    The first ``2 * rem`` ranks pair up: each even rank sends its vector to
-    its odd neighbour (which combines it) and drops out of the core phase.
-    Returns the rank's virtual id within the power-of-two group, or ``-1``
-    for folded-out ranks.
-    """
-    nbytes = count * esize
-    if rank < 2 * rem:
-        if rank % 2 == 0:
-            sched.round([SendStep(rank + 1, tag, ACC, 0, nbytes)])
-            return -1
-        sched.round([
-            RecvStep(rank - 1, tag, tmp, 0, nbytes),
-            ReduceStep(tmp, 0, ACC, 0, count),
-        ])
-        return rank // 2
-    return rank - rem
 
 
 def _unfold_round(sched: Schedule, rank: int, nbytes: int, tag: int, rem: int) -> None:
@@ -72,10 +38,9 @@ def _unfold_round(sched: Schedule, rank: int, nbytes: int, tag: int, rem: int) -
             sched.round([RecvStep(rank + 1, tag + _UNFOLD_TAG_OFFSET, ACC, 0, nbytes)])
 
 
-@register_builder("allreduce", "recursive_doubling")
-def build_allreduce_recursive_doubling(
-    rank: int, size: int, count: int, esize: int, seq: int
-) -> Schedule:
+@register("allreduce", "recursive_doubling")
+def build_allreduce_recursive_doubling(rank: int, size: int, count: int, esize: int,
+                                       root: int, seq: int) -> Schedule:
     """Recursive-doubling allreduce: ``log2(p)`` full-vector exchanges.
 
     Latency-optimal for short vectors.  Non-power-of-two sizes fold the extra
@@ -91,7 +56,7 @@ def build_allreduce_recursive_doubling(
     pof2 = largest_power_of_two_leq(p)
     rem = p - pof2
     tmp = sched.temp("tmp", nbytes)
-    vrank = _fold_rounds(sched, rank, count, esize, tag, rem, tmp)
+    vrank = fold_rounds(sched, rank, count, esize, tag, rem, tmp)
 
     if vrank != -1:
         mask = 1
@@ -110,8 +75,9 @@ def build_allreduce_recursive_doubling(
     return sched
 
 
-@register_builder("allreduce", "ring")
-def build_allreduce_ring(rank: int, size: int, count: int, esize: int, seq: int) -> Schedule:
+@register("allreduce", "ring")
+def build_allreduce_ring(rank: int, size: int, count: int, esize: int,
+                         root: int, seq: int) -> Schedule:
     """Ring allreduce: ring reduce-scatter followed by ring allgather.
 
     Bandwidth-optimal (~``2 * nbytes`` moved per rank independent of ``p``),
@@ -153,72 +119,22 @@ def build_allreduce_ring(rank: int, size: int, count: int, esize: int, seq: int)
     return sched
 
 
-def _run_allreduce_schedule(
-    cc: CollectiveContext,
-    sched: Schedule,
-    sendbuf: BytesLike,
-    recvbuf: Buffer,
-    count: int,
-    datatype: Datatype,
-    op: Op,
-) -> None:
-    """Run an allreduce schedule with the receive buffer as the accumulator:
-    one copy of the contribution in, the result reduced in place."""
-    nbytes = count * datatype.size
-    acc = memoryview(recvbuf)[:nbytes]
-    acc[:] = memoryview(sendbuf)[:nbytes]
-    execute(cc, sched, {ACC: acc}, datatype, op)
-
-
-@register("allreduce", "recursive_doubling")
-def allreduce_recursive_doubling(
-    cc: CollectiveContext,
-    sendbuf: BytesLike,
-    recvbuf: Buffer,
-    count: int,
-    datatype: Datatype,
-    op: Op,
-    seq: int,
-) -> None:
-    """Blocking recursive-doubling allreduce (executes the schedule)."""
-    sched = build_allreduce_recursive_doubling(cc.rank, cc.size, count, datatype.size, seq)
-    _run_allreduce_schedule(cc, sched, sendbuf, recvbuf, count, datatype, op)
-
-
-@register("allreduce", "ring")
-def allreduce_ring(
-    cc: CollectiveContext,
-    sendbuf: BytesLike,
-    recvbuf: Buffer,
-    count: int,
-    datatype: Datatype,
-    op: Op,
-    seq: int,
-) -> None:
-    """Blocking ring allreduce (executes the schedule)."""
-    sched = build_allreduce_ring(cc.rank, cc.size, count, datatype.size, seq)
-    _run_allreduce_schedule(cc, sched, sendbuf, recvbuf, count, datatype, op)
-
-
 @register("allreduce", "reduce_bcast")
-def allreduce_reduce_bcast(
-    cc: CollectiveContext,
-    sendbuf: BytesLike,
-    recvbuf: Buffer,
-    count: int,
-    datatype: Datatype,
-    op: Op,
-    seq: int,
-) -> None:
-    """Allreduce composed from a binomial reduce-to-0 and a binomial bcast.
+def build_allreduce_reduce_bcast(rank: int, size: int, count: int, esize: int,
+                                 root: int, seq: int) -> Schedule:
+    """Allreduce composed from a binomial reduce to rank 0 and a binomial
+    bcast from it, both over ``"acc"``.
 
     The textbook composition the original single-algorithm implementation
     used; kept as a registered algorithm so the composition stays selectable
-    and comparable against the fused ones.
+    and comparable against the fused ones.  Each phase keeps its own
+    collective's tag, so the messages are those of an ``MPI_Reduce``
+    followed by an ``MPI_Bcast``.
     """
-    from repro.mpi.algorithms.bcast import bcast_binomial
-    from repro.mpi.algorithms.reduce import reduce_binomial
-
-    nbytes = count * datatype.size
-    reduce_binomial(cc, sendbuf, recvbuf if cc.rank == 0 else None, count, datatype, op, 0, seq)
-    bcast_binomial(cc, memoryview(recvbuf)[:nbytes], nbytes, 0, seq)
+    sched = Schedule()
+    if size > 1:
+        binomial_reduce_rounds(sched, rank, size, count, esize, 0,
+                               coll_tag(KIND_REDUCE, seq))
+        binomial_bcast_rounds(sched, rank, size, ACC, count * esize, 0,
+                              coll_tag(KIND_BCAST, seq))
+    return sched

@@ -1,32 +1,20 @@
 """Alltoall algorithms: pairwise exchange and basic linear.
 
-Both are expressed as schedules over two named buffers: ``"send"`` (``p``
-outgoing blocks) and ``"recv"`` (``p`` incoming blocks).  The registered
-blocking functions execute the same schedules ``MPI_Ialltoall`` advances
-incrementally.
+Both are schedules over two named buffers: ``"send"`` (``p`` outgoing
+blocks) and ``"recv"`` (``p`` incoming blocks).  ``MPI_Alltoall`` runs one
+to completion and ``MPI_Ialltoall`` advances the same schedule incrementally.
 """
 
 from __future__ import annotations
 
-from repro.mpi.algorithms.base import KIND_ALLTOALL, Buffer, CollectiveContext, coll_tag
+from repro.mpi.algorithms.base import KIND_ALLTOALL, RECV, SEND, coll_tag
 from repro.mpi.algorithms.registry import register
-from repro.mpi.algorithms.schedule import (
-    CopyStep,
-    RecvStep,
-    Schedule,
-    SendStep,
-    execute,
-    register_builder,
-)
-from repro.mpi.ops import BytesLike
-
-#: Buffer names every alltoall schedule uses.
-SEND = "send"
-RECV = "recv"
+from repro.mpi.algorithms.schedule import CopyStep, RecvStep, Schedule, SendStep
 
 
-@register_builder("alltoall", "pairwise")
-def build_alltoall_pairwise(rank: int, size: int, nbytes_per_rank: int, seq: int) -> Schedule:
+@register("alltoall", "pairwise")
+def build_alltoall_pairwise(rank: int, size: int, count: int, esize: int,
+                            root: int, seq: int) -> Schedule:
     """Pairwise-exchange alltoall: ``p - 1`` shifted exchange rounds.
 
     At round ``s`` every rank sends to ``rank + s`` and receives from
@@ -35,7 +23,7 @@ def build_alltoall_pairwise(rank: int, size: int, nbytes_per_rank: int, seq: int
     """
     sched = Schedule()
     p = size
-    b = nbytes_per_rank
+    b = count * esize
     tag = coll_tag(KIND_ALLTOALL, seq)
     # Local block copies directly.
     sched.round([CopyStep(SEND, rank * b, RECV, rank * b, b)])
@@ -49,8 +37,9 @@ def build_alltoall_pairwise(rank: int, size: int, nbytes_per_rank: int, seq: int
     return sched
 
 
-@register_builder("alltoall", "linear")
-def build_alltoall_linear(rank: int, size: int, nbytes_per_rank: int, seq: int) -> Schedule:
+@register("alltoall", "linear")
+def build_alltoall_linear(rank: int, size: int, count: int, esize: int,
+                          root: int, seq: int) -> Schedule:
     """Basic linear alltoall: post every send up front, then drain receives.
 
     Relies on the context's non-blocking sends (the matching engine buffers),
@@ -60,7 +49,7 @@ def build_alltoall_linear(rank: int, size: int, nbytes_per_rank: int, seq: int) 
     """
     sched = Schedule()
     p = size
-    b = nbytes_per_rank
+    b = count * esize
     tag = coll_tag(KIND_ALLTOALL, seq)
     sched.round([CopyStep(SEND, rank * b, RECV, rank * b, b)])
     sched.round([
@@ -71,33 +60,3 @@ def build_alltoall_linear(rank: int, size: int, nbytes_per_rank: int, seq: int) 
     ])
     return sched
 
-
-def _run_alltoall(cc: CollectiveContext, sched: Schedule, sendbuf: BytesLike,
-                  recvbuf: Buffer, nbytes_per_rank: int) -> None:
-    execute(cc, sched, {SEND: memoryview(sendbuf)[: cc.size * nbytes_per_rank], RECV: recvbuf})
-
-
-@register("alltoall", "pairwise")
-def alltoall_pairwise(
-    cc: CollectiveContext,
-    sendbuf: BytesLike,
-    recvbuf: Buffer,
-    nbytes_per_rank: int,
-    seq: int,
-) -> None:
-    """Blocking pairwise-exchange alltoall (executes the schedule in place)."""
-    sched = build_alltoall_pairwise(cc.rank, cc.size, nbytes_per_rank, seq)
-    _run_alltoall(cc, sched, sendbuf, recvbuf, nbytes_per_rank)
-
-
-@register("alltoall", "linear")
-def alltoall_linear(
-    cc: CollectiveContext,
-    sendbuf: BytesLike,
-    recvbuf: Buffer,
-    nbytes_per_rank: int,
-    seq: int,
-) -> None:
-    """Blocking linear alltoall (executes the schedule in place)."""
-    sched = build_alltoall_linear(cc.rank, cc.size, nbytes_per_rank, seq)
-    _run_alltoall(cc, sched, sendbuf, recvbuf, nbytes_per_rank)

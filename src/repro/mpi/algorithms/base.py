@@ -1,9 +1,10 @@
 """Shared primitives of the collective-algorithm subsystem.
 
-Every algorithm is written against :class:`CollectiveContext` -- the small
-bundle of callables the per-rank runtime exposes -- so payloads stay
-bit-identical regardless of algorithm and all virtual-time costs fall out of
-the transport model underneath ``send``/``recv``.
+Every algorithm is a schedule builder; its schedules execute against
+:class:`CollectiveContext` -- the small bundle of callables the per-rank
+runtime exposes -- so payloads stay bit-identical regardless of algorithm
+and all virtual-time costs fall out of the transport model underneath
+``send``/``recv``.
 
 Tag discipline: collectives own the tag space above :data:`COLL_TAG_BASE`.
 A tag is derived from the collective *kind* and the per-communicator
@@ -43,8 +44,16 @@ def coll_tag(kind: int, seq: int) -> int:
     return COLL_TAG_BASE + kind * COLL_TAG_MOD + (seq % COLL_TAG_MOD)
 
 
+#: Names of the caller-bound buffers the schedules run over (see
+#: :mod:`repro.mpi.collectives` for which collective binds which).
+ACC = "acc"    # reduction accumulator: this rank's contribution, then the result
+DATA = "data"  # bcast payload: input on the root, output everywhere else
+SEND = "send"  # this rank's outgoing block(s)
+RECV = "recv"  # this rank's incoming block(s) / the reduce root's result
+
+
 class CollectiveContext:
-    """Bundle of callables the collectives need from the per-rank runtime.
+    """Bundle of callables a schedule executes against on one rank.
 
     ``send(dst_local, tag, data)`` and ``recv(src_local, tag, into)`` operate
     on *communicator-local* ranks; the runtime translates to world ranks and
@@ -54,22 +63,17 @@ class CollectiveContext:
     Copy rules -- each payload byte crosses each hop once:
 
     * ``send`` takes a flat byte view (a ``memoryview`` slice of the
-      algorithm's buffer, or ``bytes``) and posts without blocking; the
-      matching engine snapshots it at post, so the algorithm may overwrite
-      the buffer right away and may post a fan of sends before draining
-      receives.
+      schedule's buffer) and posts without blocking; the matching engine
+      snapshots it at post, so the buffer may be overwritten right away and a
+      fan of sends may be posted before draining receives.
     * ``recv`` receives *into* a caller-supplied writable byte view: ``len``
       of the view is the expected size (larger messages raise
       :class:`~repro.mpi.errors.TruncationError`), and the payload lands
       there directly with no intermediate buffer.  An empty view receives a
       zero-byte token.
 
-    The remaining callables are optional and only supplied by the per-rank
-    runtime (the incremental schedule executor behind the non-blocking
-    collectives needs them; blocking execution works without them):
+    The incremental executor behind the non-blocking collectives also needs:
 
-    * ``probe(src_local, tag) -> bool`` -- whether a matching message is
-      already buffered, without consuming it;
     * ``recv_nb(src_local, tag, into) -> Optional[float]`` -- consume a
       buffered match into ``into`` (same contract as ``recv``) charging only
       CPU overhead, and return the virtual time the payload actually
@@ -79,6 +83,9 @@ class CollectiveContext:
     * ``now() -> float`` / ``advance_to(t)`` -- the rank's virtual clock,
       used to enforce data dependencies (a step that reads received data
       cannot execute before that data has arrived).
+
+    ``world_rank`` is the COMM_WORLD rank, the per-rank lane trace events and
+    fault hooks are attributed to.
     """
 
     def __init__(
@@ -88,33 +95,22 @@ class CollectiveContext:
         send: Callable[[int, int, BytesLike], None],
         recv: Callable[[int, int, memoryview], None],
         compute: Callable[[float], None],
+        recv_nb: Callable[[int, int, memoryview], Optional[float]],
+        now: Callable[[], float],
+        advance_to: Callable[[float], None],
+        world_rank: int,
         reduce_compute_per_byte: float = 0.04e-9,
-        probe: Optional[Callable[[int, int], bool]] = None,
-        recv_nb: Optional[Callable[[int, int, memoryview], Optional[float]]] = None,
-        now: Optional[Callable[[], float]] = None,
-        advance_to: Optional[Callable[[float], None]] = None,
-        world_rank: Optional[int] = None,
     ):
         self.rank = rank
         self.size = size
         self.send = send
         self.recv = recv
         self.compute = compute
-        self.reduce_compute_per_byte = reduce_compute_per_byte
-        self.probe = probe
         self.recv_nb = recv_nb
         self.now = now
         self.advance_to = advance_to
-        # COMM_WORLD rank for trace attribution (per-rank timeline lanes);
-        # falls back to the communicator-local rank when not supplied.
         self.world_rank = world_rank
-
-
-def combine(cc: CollectiveContext, op: Op, acc: Buffer, contribution: BytesLike,
-            datatype: Datatype, count: int) -> None:
-    """Reduce ``contribution`` into ``acc`` and charge the combine time."""
-    op.reduce_bytes(acc, contribution, datatype, count)
-    cc.compute(count * datatype.size * cc.reduce_compute_per_byte)
+        self.reduce_compute_per_byte = reduce_compute_per_byte
 
 
 def combine_segment(cc: CollectiveContext, op: Op, acc: Buffer, contribution: BytesLike,

@@ -1,30 +1,18 @@
 """Gather and scatter algorithms: linear (root exchanges with every rank)
 and binomial tree (blocks aggregated/partitioned along subtrees).
 
-Signatures::
-
-    gather:  fn(cc, sendbuf, recvbuf, nbytes_per_rank, root, seq) -> None
-    scatter: fn(cc, sendbuf, recvbuf, nbytes_per_rank, root, seq) -> None
-
-For gather, ``recvbuf`` is a writable byte buffer of ``p`` blocks on the
-root and ``None`` elsewhere; for scatter, ``sendbuf`` is ``p`` blocks on the
-root and ``None`` elsewhere.  Blocks are received straight into their final
-place and sent as memoryview slices (the context snapshots sends).
+Both collectives are schedules over ``"send"`` and ``"recv"``: for gather,
+``"send"`` is this rank's block and ``"recv"`` the root's ``p`` blocks; for
+scatter, ``"send"`` is the root's ``p`` blocks and ``"recv"`` this rank's
+block.  The binomial trees move packed subtree buffers; a root other than
+rank 0 rotates them from virtual-rank into rank order with local copies.
 """
 
 from __future__ import annotations
 
-from typing import Optional
-
-from repro.mpi.algorithms.base import (
-    KIND_GATHER,
-    KIND_SCATTER,
-    Buffer,
-    CollectiveContext,
-    coll_tag,
-)
+from repro.mpi.algorithms.base import KIND_GATHER, KIND_SCATTER, RECV, SEND, coll_tag
 from repro.mpi.algorithms.registry import register
-from repro.mpi.ops import BytesLike
+from repro.mpi.algorithms.schedule import CopyStep, RecvStep, Schedule, SendStep
 
 
 def _subtree_span(vrank: int, p: int) -> int:
@@ -38,39 +26,24 @@ def _subtree_span(vrank: int, p: int) -> int:
 
 
 @register("gather", "linear")
-def gather_linear(
-    cc: CollectiveContext,
-    sendbuf: BytesLike,
-    recvbuf: Optional[Buffer],
-    nbytes_per_rank: int,
-    root: int,
-    seq: int,
-) -> None:
+def build_gather_linear(rank: int, size: int, count: int, esize: int,
+                        root: int, seq: int) -> Schedule:
     """Linear gather: every non-root rank sends its block to the root."""
-    p = cc.size
-    b = nbytes_per_rank
+    sched = Schedule()
+    b = count * esize
     tag = coll_tag(KIND_GATHER, seq)
-    if cc.rank == root:
-        if recvbuf is None:
-            raise ValueError("root must supply a receive buffer to gather")
-        out = memoryview(recvbuf)
-        out[root * b : (root + 1) * b] = memoryview(sendbuf)[:b]
-        for src in range(p):
-            if src != root:
-                cc.recv(src, tag, out[src * b : (src + 1) * b])
+    if rank == root:
+        sched.round([CopyStep(SEND, 0, RECV, root * b, b)] + [
+            RecvStep(src, tag, RECV, src * b, b) for src in range(size) if src != root
+        ])
     else:
-        cc.send(root, tag, memoryview(sendbuf)[:b])
+        sched.round([SendStep(root, tag, SEND, 0, b)])
+    return sched
 
 
 @register("gather", "binomial")
-def gather_binomial(
-    cc: CollectiveContext,
-    sendbuf: BytesLike,
-    recvbuf: Optional[Buffer],
-    nbytes_per_rank: int,
-    root: int,
-    seq: int,
-) -> None:
+def build_gather_binomial(rank: int, size: int, count: int, esize: int,
+                          root: int, seq: int) -> Schedule:
     """Binomial-tree gather: subtree blocks are aggregated on the way up.
 
     The subtree hanging off virtual rank ``v`` at bit position ``m`` covers
@@ -81,67 +54,51 @@ def gather_binomial(
     place; a root other than rank 0 rotates the packed blocks into rank
     order at the end.
     """
-    p = cc.size
-    b = nbytes_per_rank
+    sched = Schedule()
+    p = size
+    b = count * esize
     tag = coll_tag(KIND_GATHER, seq)
-    vrank = (cc.rank - root) % p
+    vrank = (rank - root) % p
     span = _subtree_span(vrank, p)
-    if vrank == 0 and recvbuf is None:
-        raise ValueError("root must supply a receive buffer to gather")
-    packed = memoryview(recvbuf if vrank == 0 and root == 0 else bytearray(span * b))
-    packed[:b] = memoryview(sendbuf)[:b]
+    packed = RECV if vrank == 0 and root == 0 else sched.temp("packed", span * b)
+    sched.round([CopyStep(SEND, 0, packed, 0, b)])
     mask = 1
     while mask < p:
         if vrank & mask:
-            cc.send(((vrank - mask) + root) % p, tag, packed[: span * b])
+            sched.round([SendStep(((vrank - mask) + root) % p, tag, packed, 0, span * b)])
             break
         vchild = vrank | mask
         if vchild < p:
             child_span = min(mask, p - vchild)
-            cc.recv((vchild + root) % p, tag, packed[mask * b : (mask + child_span) * b])
+            sched.round([RecvStep((vchild + root) % p, tag, packed, mask * b, child_span * b)])
         mask <<= 1
     if vrank == 0 and root != 0:
-        # Virtual rank v is absolute rank (v + root) % p.
-        out = memoryview(recvbuf)
+        # Virtual rank v is rank (v + root) % p: rotate into rank order.
         head = (p - root) * b
-        out[root * b : p * b] = packed[:head]
-        out[: root * b] = packed[head : p * b]
+        sched.round([CopyStep(packed, 0, RECV, root * b, head),
+                     CopyStep(packed, head, RECV, 0, root * b)])
+    return sched
 
 
 @register("scatter", "linear")
-def scatter_linear(
-    cc: CollectiveContext,
-    sendbuf: Optional[BytesLike],
-    recvbuf: Buffer,
-    nbytes_per_rank: int,
-    root: int,
-    seq: int,
-) -> None:
+def build_scatter_linear(rank: int, size: int, count: int, esize: int,
+                         root: int, seq: int) -> Schedule:
     """Linear scatter: the root sends one block to every other rank."""
-    p = cc.size
-    b = nbytes_per_rank
+    sched = Schedule()
+    b = count * esize
     tag = coll_tag(KIND_SCATTER, seq)
-    if cc.rank == root:
-        if sendbuf is None:
-            raise ValueError("root must supply a send buffer to scatter")
-        blocks = memoryview(sendbuf)
-        recvbuf[:b] = blocks[root * b : (root + 1) * b]
-        for dst in range(p):
-            if dst != root:
-                cc.send(dst, tag, blocks[dst * b : (dst + 1) * b])
+    if rank == root:
+        sched.round([CopyStep(SEND, root * b, RECV, 0, b)] + [
+            SendStep(dst, tag, SEND, dst * b, b) for dst in range(size) if dst != root
+        ])
     else:
-        cc.recv(root, tag, memoryview(recvbuf)[:b])
+        sched.round([RecvStep(root, tag, RECV, 0, b)])
+    return sched
 
 
 @register("scatter", "binomial")
-def scatter_binomial(
-    cc: CollectiveContext,
-    sendbuf: Optional[BytesLike],
-    recvbuf: Buffer,
-    nbytes_per_rank: int,
-    root: int,
-    seq: int,
-) -> None:
+def build_scatter_binomial(rank: int, size: int, count: int, esize: int,
+                           root: int, seq: int) -> Schedule:
     """Binomial-tree scatter: the mirror of the binomial gather.
 
     Each rank receives the packed blocks of its whole subtree (in
@@ -149,31 +106,23 @@ def scatter_binomial(
     its children, so the root injects ``log2(p)`` messages instead of
     ``p - 1``.
     """
-    p = cc.size
-    b = nbytes_per_rank
+    sched = Schedule()
+    p = size
+    b = count * esize
     tag = coll_tag(KIND_SCATTER, seq)
-    vrank = (cc.rank - root) % p
+    vrank = (rank - root) % p
     span = _subtree_span(vrank, p)
-
-    if vrank == 0:
-        if sendbuf is None:
-            raise ValueError("root must supply a send buffer to scatter")
-        blocks = memoryview(sendbuf)
-        if root == 0:
-            packed = blocks
-        else:
-            # Rotate into virtual-rank order: virtual v is absolute (v + root) % p.
-            packed = memoryview(bytearray(p * b))
-            head = (p - root) * b
-            packed[:head] = blocks[root * b : p * b]
-            packed[head : p * b] = blocks[: root * b]
-    else:
-        packed = memoryview(bytearray(span * b))
+    packed = SEND if vrank == 0 and root == 0 else sched.temp("packed", span * b)
+    if vrank == 0 and root != 0:
+        # Rotate into virtual-rank order: virtual v is rank (v + root) % p.
+        head = (p - root) * b
+        sched.round([CopyStep(SEND, root * b, packed, 0, head),
+                     CopyStep(SEND, 0, packed, head, root * b)])
     # Phase 1: receive this rank's subtree from the binomial parent.
     mask = 1
     while mask < p:
         if vrank & mask:
-            cc.recv(((vrank - mask) + root) % p, tag, packed[: span * b])
+            sched.round([RecvStep(((vrank - mask) + root) % p, tag, packed, 0, span * b)])
             break
         mask <<= 1
     # Phase 2: forward each child its sub-range.
@@ -182,6 +131,7 @@ def scatter_binomial(
         vchild = vrank + mask
         if vchild < p:
             child_span = min(mask, p - vchild)
-            cc.send((vchild + root) % p, tag, packed[mask * b : (mask + child_span) * b])
+            sched.round([SendStep((vchild + root) % p, tag, packed, mask * b, child_span * b)])
         mask >>= 1
-    recvbuf[:b] = packed[:b]
+    sched.round([CopyStep(packed, 0, RECV, 0, b)])
+    return sched

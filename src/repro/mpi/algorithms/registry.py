@@ -6,23 +6,36 @@ under short names (``"binomial"``, ``"ring"``, ...), and a decision layer
 (:mod:`repro.mpi.algorithms.decision`) picks one per call based on message
 size and communicator size -- unless an override forces a specific one.
 
-Since the session-API redesign the backing store is the unified registry
-(:data:`repro.api.registry.ALGORITHMS`, composite keys
-``"<collective>:<algorithm>"``); this module keeps the collective-specific
-API (tuple-keyed registration, per-collective catalogues) on top of it, and
-third-party algorithms may equivalently use
-``@repro.api.register_algorithm(collective, name)``.
+Every entry is a *schedule builder* (see :mod:`repro.mpi.algorithms.schedule`)
+with one signature shared by all collectives::
 
-Algorithm functions share a fixed signature per collective (see the
-individual modules); all of them operate on a
-:class:`repro.mpi.algorithms.base.CollectiveContext`.
+    build(rank, size, count, esize, root, seq) -> Schedule
+
+``count`` elements of ``esize`` bytes are the per-rank payload (the vector of
+a bcast/reduce/allreduce, one block of a gather/scatter/allgather/alltoall);
+``root`` is ignored by the unrooted collectives and barriers ignore the
+payload too.  :mod:`repro.mpi.collectives` binds the built schedule to the
+call's buffers, and the same schedule runs both the blocking and the
+non-blocking entry point.
+
+The backing store is the unified registry (:data:`repro.api.registry.ALGORITHMS`,
+composite keys ``"<collective>:<algorithm>"``), filled by the one decorator
+:func:`register` -- the same function third-party code reaches as
+``@repro.api.register_algorithm(collective, name)``.  This module keeps the
+collective-specific lookups (tuple-keyed access, per-collective catalogues)
+on top of it.
 """
 
 from __future__ import annotations
 
 from typing import Callable, Dict, List
 
-from repro.api.registry import ALGORITHMS, DuplicateEntryError, UnknownEntryError
+from repro.api.registry import (
+    ALGORITHMS,
+    UnknownEntryError,
+    algorithm_key,
+    register_algorithm as register,  # noqa: F401  (the one decorator)
+)
 
 #: The collectives the subsystem dispatches.
 COLLECTIVES = (
@@ -41,31 +54,10 @@ class UnknownAlgorithmError(KeyError):
     """Raised when a (collective, algorithm) pair is not registered."""
 
 
-def _key(collective: str, name: str) -> str:
-    return f"{collective}:{name}"
-
-
-def register(collective: str, name: str) -> Callable[[Callable], Callable]:
-    """Decorator registering ``fn`` as algorithm ``name`` of ``collective``."""
-    if collective not in COLLECTIVES:
-        raise ValueError(f"unknown collective {collective!r}; known: {COLLECTIVES}")
-
-    def decorator(fn: Callable) -> Callable:
-        try:
-            ALGORITHMS.register(_key(collective, name), obj=fn)
-        except DuplicateEntryError:
-            raise ValueError(
-                f"algorithm {name!r} already registered for {collective!r}"
-            ) from None
-        return fn
-
-    return decorator
-
-
 def get(collective: str, name: str) -> Callable:
-    """Look up the implementation of algorithm ``name`` for ``collective``."""
+    """The schedule builder of algorithm ``name`` for ``collective``."""
     try:
-        return ALGORITHMS.get(_key(collective, name))
+        return ALGORITHMS.get(algorithm_key(collective, name))
     except UnknownEntryError:
         known = algorithms_for(collective)
         raise UnknownAlgorithmError(
@@ -83,9 +75,10 @@ def algorithms_for(collective: str) -> List[str]:
 
 def is_registered(collective: str, name: str) -> bool:
     """Whether ``(collective, name)`` is a registered algorithm."""
-    return ALGORITHMS.contains(_key(collective, name))
+    return ALGORITHMS.contains(algorithm_key(collective, name))
 
 
 def catalog() -> Dict[str, List[str]]:
     """Snapshot of the full registry: collective -> algorithm names."""
     return {collective: algorithms_for(collective) for collective in COLLECTIVES}
+

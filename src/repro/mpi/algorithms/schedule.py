@@ -11,8 +11,8 @@ it is a separate concern handled by :class:`ScheduleExecutor`, which can run
   progress engine behind ``MPI_Iallreduce`` and friends drives this from
   ``MPI_Test``/``MPI_Wait``).
 
-Because both entry points execute the *same* schedule, each ported algorithm
-has exactly one implementation.
+Because both entry points execute the *same* schedule, each algorithm has
+exactly one implementation.
 
 Steps operate on named byte buffers supplied by the caller (the user-visible
 payload plus schedule-declared temporaries), so a schedule itself carries no
@@ -27,15 +27,16 @@ payload data and can be built before any communication happens:
 * :class:`ReduceStep` -- combine a contribution into an accumulator segment
   in place via the executing call's reduction op (charged as compute time).
 
-Builders register per ``(collective, algorithm)`` with
-:func:`register_builder`; the blocking algorithm functions in the sibling
-modules and the runtime's non-blocking entry points both look them up here.
+Every bundled algorithm is a builder registered per ``(collective,
+algorithm)`` in :mod:`repro.mpi.algorithms.registry`;
+:mod:`repro.mpi.collectives` binds a built schedule to the call's buffers for
+both the blocking and the non-blocking entry points.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple, Union
+from typing import Callable, Dict, List, Optional, Union
 
 from repro.fault import checkpoint as _checkpoint
 from repro.fault import inject as _inject
@@ -204,9 +205,9 @@ class ScheduleExecutor:
     remembers how far execution got (``_pc``), owns the working buffers, and
     exposes both a non-blocking :meth:`try_progress` (stops at the first
     receive with nothing buffered) and a blocking :meth:`run_to_completion`.
-    ``on_complete`` fires exactly once, with the buffer dict, when the last
-    step has executed -- the runtime uses it to copy results into the caller's
-    (possibly guest-memory) buffers.
+    ``on_complete`` fires exactly once, when the last step has executed --
+    the runtime uses it to copy results into the caller's (possibly
+    guest-memory) buffers.
 
     Incremental execution separates *consumption* from *arrival*: receives
     taken through the context's ``recv_nb`` charge only CPU overhead, and the
@@ -226,7 +227,7 @@ class ScheduleExecutor:
         buffers: Optional[Dict[str, Buffer]] = None,
         datatype: Optional[Datatype] = None,
         op: Optional[Op] = None,
-        on_complete: Optional[Callable[[Dict[str, Buffer]], None]] = None,
+        on_complete: Optional[Callable[[], None]] = None,
     ) -> None:
         self._cc = cc
         self._steps = schedule.flat()
@@ -314,38 +315,29 @@ class ScheduleExecutor:
 
         Stops (returning ``False``) at the first :class:`RecvStep` whose
         message is not already buffered; returns ``True`` once every step has
-        executed.  Receives go through the context's ``recv_nb`` when
-        available, so the rank is charged CPU overhead only and the payload's
-        arrival accumulates into :attr:`data_time` instead of stalling the
-        clock (falls back to probe-then-blocking-recv without it).
+        executed.  Receives go through the context's ``recv_nb``, so the rank
+        is charged CPU overhead only and the payload's arrival accumulates
+        into :attr:`data_time` instead of stalling the clock.
         """
         while not self.done:
             step = self._steps[self._pc]
             if isinstance(step, RecvStep):
-                if self._cc.recv_nb is not None:
-                    arrival = self._cc.recv_nb(step.peer, step.tag, self._view(step))
-                    if arrival is None:
-                        return False
-                    self.data_time = max(self.data_time, arrival)
-                    if step.buf is not None:
-                        self._buffer_ready[step.buf] = max(
-                            self._buffer_ready.get(step.buf, 0.0), arrival
-                        )
-                    self._pc += 1
-                    if _inject.ARMED or _checkpoint.CAPTURE is not None:
-                        self._notify_round()
-                    if _trace.ENABLED:
-                        self._trace_step("sched.nbc_step", step)
-                    continue
-                if self._cc.probe is None or not self._cc.probe(step.peer, step.tag):
+                arrival = self._cc.recv_nb(step.peer, step.tag, self._view(step))
+                if arrival is None:
                     return False
+                self.data_time = max(self.data_time, arrival)
+                if step.buf is not None:
+                    self._buffer_ready[step.buf] = max(
+                        self._buffer_ready.get(step.buf, 0.0), arrival
+                    )
             elif self._stalled_on_data(self._pc):
                 # The step reads payload (or opens a round) that has not
                 # arrived yet in this rank's virtual time: stall instead of
                 # advancing the clock, so the gap stays available for caller
                 # compute.
                 return False
-            self._execute(step)
+            else:
+                self._execute(step)
             self._pc += 1
             if _inject.ARMED or _checkpoint.CAPTURE is not None:
                 self._notify_round()
@@ -383,9 +375,7 @@ class ScheduleExecutor:
 
     def _stalled_on_data(self, pc: int) -> bool:
         needed = self._step_ready_time(pc)
-        if needed <= 0:
-            return False
-        return self._cc.now is not None and self._cc.now() < needed
+        return needed > 0 and self._cc.now() < needed
 
     def next_ready_time(self) -> Optional[float]:
         """Earliest virtual time at which time alone unblocks this executor.
@@ -403,12 +393,11 @@ class ScheduleExecutor:
     # ---------------------------------------------------------------- tracing
 
     def _trace_tid(self) -> int:
-        """Per-rank trace stream: the COMM_WORLD rank when known."""
-        cc = self._cc
-        return cc.world_rank if cc.world_rank is not None else cc.rank
+        """Per-rank trace stream: the COMM_WORLD rank."""
+        return self._cc.world_rank
 
     def _trace_now(self) -> float:
-        return self._cc.now() if self._cc.now is not None else 0.0
+        return self._cc.now()
 
     def _trace_step(self, name: str, step: Optional[Step]) -> None:
         """Instant event for one executed step (callers guard on the flag)."""
@@ -474,7 +463,7 @@ class ScheduleExecutor:
         if not self._finished:
             self._finished = True
             if self._on_complete is not None:
-                self._on_complete(self.buffers)
+                self._on_complete()
 
     def _view(self, step: Union[SendStep, RecvStep]) -> memoryview:
         """The byte range a send reads or a receive fills: a memoryview slice
@@ -490,7 +479,7 @@ class ScheduleExecutor:
         # that arrival.  (No-op for blocking execution: ready times stay 0
         # because blocking receives advance the clock themselves.)
         needed = self._step_ready_time(self._pc)
-        if needed > 0 and self._cc.advance_to is not None:
+        if needed > 0:
             self._cc.advance_to(needed)
         if isinstance(step, SendStep):
             self._cc.send(step.peer, step.tag, self._view(step))
@@ -534,76 +523,3 @@ def execute(
     executor = ScheduleExecutor(cc, schedule, buffers, datatype, op)
     executor.run_to_completion()
     return executor.buffers
-
-
-# ------------------------------------------------------------ builder registry
-
-#: Schedule builders keyed by ``(collective, algorithm)``.  Signatures are
-#: fixed per collective (mirroring the registered blocking signatures):
-#:
-#:   barrier:   build(rank, size, seq) -> Schedule
-#:   bcast:     build(rank, size, nbytes, root, seq) -> Schedule
-#:   reduce:    build(rank, size, count, esize, root, seq) -> Schedule
-#:   allreduce: build(rank, size, count, esize, seq) -> Schedule
-#:   allgather: build(rank, size, nbytes_per_rank, seq) -> Schedule
-#:   alltoall:  build(rank, size, nbytes_per_rank, seq) -> Schedule
-_BUILDERS: Dict[Tuple[str, str], Callable[..., Schedule]] = {}
-
-#: The schedule-capable algorithm each collective falls back to when the
-#: decision layer picks one that has no schedule builder (possible only via
-#: forced overrides naming a non-ported algorithm).
-SCHEDULE_FALLBACKS: Dict[str, str] = {
-    "barrier": "dissemination",
-    "bcast": "binomial",
-    "reduce": "binomial",
-    "allreduce": "recursive_doubling",
-    "allgather": "ring",
-    "alltoall": "pairwise",
-}
-
-
-def register_builder(collective: str, name: str) -> Callable[[Callable], Callable]:
-    """Decorator registering a schedule builder for ``(collective, name)``."""
-
-    def decorator(fn: Callable[..., Schedule]) -> Callable[..., Schedule]:
-        key = (collective, name)
-        if key in _BUILDERS:
-            raise ValueError(f"schedule builder {name!r} already registered for {collective!r}")
-        _BUILDERS[key] = fn
-        return fn
-
-    return decorator
-
-
-def get_builder(collective: str, name: str) -> Callable[..., Schedule]:
-    """Builder for ``(collective, name)``; KeyError if not schedule-capable."""
-    try:
-        return _BUILDERS[(collective, name)]
-    except KeyError:
-        raise KeyError(
-            f"no schedule builder for {collective!r} algorithm {name!r}; "
-            f"schedule-capable: {builders_for(collective)}"
-        ) from None
-
-
-def has_builder(collective: str, name: str) -> bool:
-    """Whether ``(collective, name)`` can be expressed as a schedule."""
-    return (collective, name) in _BUILDERS
-
-
-def builders_for(collective: str) -> List[str]:
-    """Names of every schedule-capable algorithm of ``collective``."""
-    return sorted(n for (c, n) in _BUILDERS if c == collective)
-
-
-def schedulable(collective: str, algorithm: str) -> str:
-    """``algorithm`` if it has a builder, else the collective's fallback.
-
-    The non-blocking entry points route through the decision table like the
-    blocking ones; if an override forces an algorithm that has not been
-    ported to schedules, they degrade to the nearest ported one rather than
-    failing the call.
-    """
-    if has_builder(collective, algorithm):
-        return algorithm
-    return SCHEDULE_FALLBACKS[collective]

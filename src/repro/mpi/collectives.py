@@ -1,196 +1,93 @@
-"""Dispatcher for the MPI collectives.
+"""Call surface between the per-rank runtime and the collective algorithms.
 
-The algorithm implementations live in :mod:`repro.mpi.algorithms` -- a
-registry of interchangeable algorithms per collective (at least two each,
+The algorithms live in :mod:`repro.mpi.algorithms` -- a registry of
+interchangeable schedule builders per collective (at least two each,
 mirroring Open MPI's ``tuned`` module) plus a size-based decision layer.
-This module is the thin call surface the per-rank runtime uses: each function
-accepts an ``algorithm`` name and forwards to the registered implementation,
-defaulting to the algorithm the original single-algorithm implementation
-hardwired so direct callers keep their historical behaviour.
+For each collective this module has one function that builds the schedule
+of the algorithm the runtime selected and binds it to the call's buffers.
+The runtime then either executes the bound schedule to completion (the
+blocking ``MPI_Allreduce``) or starts it as a request its progress engine
+advances (``MPI_Iallreduce``): one schedule serves both.
 
-The functions operate on raw byte buffers; element interpretation (for the
-reduction collectives) comes from the datatype argument.  Successive
-collectives on the same communicator are disambiguated with a per-communicator
-operation sequence number folded into the message tag; MPI requires all ranks
-to call collectives in the same order, so the sequence numbers agree.
+Buffers are raw bytes; the reductions get their element interpretation from
+the datatype and op the runtime passes at execution.  Successive collectives
+on the same communicator are disambiguated with a per-communicator operation
+sequence number folded into the message tag; MPI requires all ranks to call
+collectives in the same order, so the sequence numbers agree.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Dict, Optional, Tuple
 
 from repro.mpi.algorithms import registry
-from repro.mpi.algorithms.base import (
-    COLL_TAG_BASE as _COLL_TAG_BASE,  # noqa: F401  (re-exported for compat)
-    COLL_TAG_MOD as _COLL_TAG_MOD,  # noqa: F401
-    KIND_ALLGATHER,
-    KIND_ALLREDUCE,
-    KIND_ALLTOALL,
-    KIND_BARRIER,
-    KIND_BCAST,
-    KIND_GATHER,
-    KIND_REDUCE,
-    KIND_SCATTER,
-    Buffer,
-    CollectiveContext,
-    coll_tag as _coll_tag,
-)
-from repro.mpi.algorithms import schedule as schedules
+from repro.mpi.algorithms.base import ACC, DATA, RECV, SEND, Buffer
 from repro.mpi.algorithms.schedule import Schedule
-from repro.mpi.datatypes import Datatype
-from repro.mpi.ops import BytesLike, Op
+from repro.mpi.ops import BytesLike
 
-__all__ = [
-    "CollectiveContext",
-    "barrier",
-    "bcast",
-    "reduce",
-    "allreduce",
-    "gather",
-    "scatter",
-    "allgather",
-    "alltoall",
-    "barrier_schedule",
-    "bcast_schedule",
-    "allreduce_schedule",
-    "allgather_schedule",
-    "alltoall_schedule",
-    "schedulable_algorithm",
-]
+#: A schedule plus the named buffers it runs over.
+Bound = Tuple[Schedule, Dict[str, Buffer]]
 
 
-def barrier(cc: CollectiveContext, seq: int, algorithm: str = "dissemination") -> None:
-    """Barrier through the selected algorithm."""
-    registry.get("barrier", algorithm)(cc, seq)
+def _bind(collective: str, algorithm: str, rank: int, size: int, count: int,
+          esize: int, root: int, seq: int, buffers: Dict[str, Optional[Buffer]]) -> Bound:
+    """Build one rank's schedule through the registered builder and bind the
+    buffers this rank supplies (``None`` marks a root-only buffer elsewhere)."""
+    schedule = registry.get(collective, algorithm)(rank, size, count, esize, root, seq)
+    return schedule, {name: buf for name, buf in buffers.items() if buf is not None}
 
 
-def bcast(
-    cc: CollectiveContext,
-    buffer: Buffer,
-    nbytes: int,
-    root: int,
-    seq: int,
-    algorithm: str = "binomial",
-) -> None:
-    """Broadcast ``nbytes`` from ``root`` into ``buffer``."""
-    registry.get("bcast", algorithm)(cc, buffer, nbytes, root, seq)
+def barrier(algorithm: str, rank: int, size: int, seq: int) -> Bound:
+    """A barrier: token exchanges over no buffers."""
+    return _bind("barrier", algorithm, rank, size, 0, 0, 0, seq, {})
 
 
-def reduce(
-    cc: CollectiveContext,
-    sendbuf: BytesLike,
-    recvbuf: Optional[Buffer],
-    count: int,
-    datatype: Datatype,
-    op: Op,
-    root: int,
-    seq: int,
-    algorithm: str = "binomial",
-) -> None:
-    """Reduce ``count`` elements to ``root``."""
-    registry.get("reduce", algorithm)(cc, sendbuf, recvbuf, count, datatype, op, root, seq)
+def bcast(algorithm: str, rank: int, size: int, data: Buffer, count: int, esize: int,
+          root: int, seq: int) -> Bound:
+    """A broadcast in place over ``data``: the payload on the root, the
+    receive target everywhere else."""
+    return _bind("bcast", algorithm, rank, size, count, esize, root, seq, {DATA: data})
 
 
-def allreduce(
-    cc: CollectiveContext,
-    sendbuf: BytesLike,
-    recvbuf: Buffer,
-    count: int,
-    datatype: Datatype,
-    op: Op,
-    seq: int,
-    algorithm: str = "reduce_bcast",
-) -> None:
-    """Allreduce ``count`` elements into every rank's ``recvbuf``."""
-    registry.get("allreduce", algorithm)(cc, sendbuf, recvbuf, count, datatype, op, seq)
+def reduce(algorithm: str, rank: int, size: int, sendbuf: BytesLike,
+           recvbuf: Optional[Buffer], count: int, esize: int, root: int, seq: int) -> Bound:
+    """A reduction to ``root``: the accumulator starts as a copy of this
+    rank's contribution, and ``recvbuf`` (the root's only) gets the result."""
+    return _bind("reduce", algorithm, rank, size, count, esize, root, seq,
+                 {ACC: bytearray(sendbuf), RECV: recvbuf})
 
 
-def gather(
-    cc: CollectiveContext,
-    sendbuf: BytesLike,
-    recvbuf: Optional[Buffer],
-    nbytes_per_rank: int,
-    root: int,
-    seq: int,
-    algorithm: str = "linear",
-) -> None:
-    """Gather one block per rank to ``root``."""
-    registry.get("gather", algorithm)(cc, sendbuf, recvbuf, nbytes_per_rank, root, seq)
+def allreduce(algorithm: str, rank: int, size: int, sendbuf: BytesLike, recvbuf: Buffer,
+              count: int, esize: int, seq: int) -> Bound:
+    """An allreduce with ``recvbuf`` as the accumulator: it is loaded with
+    this rank's contribution and holds the result at completion."""
+    recvbuf[:] = sendbuf
+    return _bind("allreduce", algorithm, rank, size, count, esize, 0, seq, {ACC: recvbuf})
 
 
-def scatter(
-    cc: CollectiveContext,
-    sendbuf: Optional[BytesLike],
-    recvbuf: Buffer,
-    nbytes_per_rank: int,
-    root: int,
-    seq: int,
-    algorithm: str = "linear",
-) -> None:
-    """Scatter one block per rank from ``root``."""
-    registry.get("scatter", algorithm)(cc, sendbuf, recvbuf, nbytes_per_rank, root, seq)
+def gather(algorithm: str, rank: int, size: int, sendbuf: BytesLike,
+           recvbuf: Optional[Buffer], count: int, esize: int, root: int, seq: int) -> Bound:
+    """A gather of one block per rank into the root's ``recvbuf``."""
+    return _bind("gather", algorithm, rank, size, count, esize, root, seq,
+                 {SEND: sendbuf, RECV: recvbuf})
 
 
-def allgather(
-    cc: CollectiveContext,
-    sendbuf: BytesLike,
-    recvbuf: Buffer,
-    nbytes_per_rank: int,
-    seq: int,
-    algorithm: str = "ring",
-) -> None:
-    """Allgather one block per rank into every rank's ``recvbuf``."""
-    registry.get("allgather", algorithm)(cc, sendbuf, recvbuf, nbytes_per_rank, seq)
+def scatter(algorithm: str, rank: int, size: int, sendbuf: Optional[BytesLike],
+            recvbuf: Buffer, count: int, esize: int, root: int, seq: int) -> Bound:
+    """A scatter of the root's ``sendbuf``, one block into each ``recvbuf``."""
+    return _bind("scatter", algorithm, rank, size, count, esize, root, seq,
+                 {SEND: sendbuf, RECV: recvbuf})
 
 
-def alltoall(
-    cc: CollectiveContext,
-    sendbuf: BytesLike,
-    recvbuf: Buffer,
-    nbytes_per_rank: int,
-    seq: int,
-    algorithm: str = "pairwise",
-) -> None:
-    """Alltoall of one block per peer."""
-    registry.get("alltoall", algorithm)(cc, sendbuf, recvbuf, nbytes_per_rank, seq)
+def allgather(algorithm: str, rank: int, size: int, sendbuf: BytesLike, recvbuf: Buffer,
+              count: int, esize: int, seq: int) -> Bound:
+    """An allgather of one block per rank into every ``recvbuf``."""
+    return _bind("allgather", algorithm, rank, size, count, esize, 0, seq,
+                 {SEND: sendbuf, RECV: recvbuf})
 
 
-# ------------------------------------------------------------------ schedules
-#
-# Schedule builders for the non-blocking collectives (``MPI_Ibarrier`` and
-# friends).  Each returns the *same* schedule the blocking entry point above
-# executes for that algorithm -- the runtime's progress engine just advances
-# it incrementally instead of running it to completion in one call.
-
-
-def schedulable_algorithm(collective: str, algorithm: str) -> str:
-    """``algorithm`` if it has a schedule builder, else the ported fallback."""
-    return schedules.schedulable(collective, algorithm)
-
-
-def barrier_schedule(algorithm: str, rank: int, size: int, seq: int) -> Schedule:
-    """Schedule of one rank's part of a barrier."""
-    return schedules.get_builder("barrier", algorithm)(rank, size, seq)
-
-
-def bcast_schedule(algorithm: str, rank: int, size: int, nbytes: int, root: int, seq: int) -> Schedule:
-    """Schedule of one rank's part of a broadcast (buffer name ``"data"``)."""
-    return schedules.get_builder("bcast", algorithm)(rank, size, nbytes, root, seq)
-
-
-def allreduce_schedule(algorithm: str, rank: int, size: int, count: int, esize: int,
-                       seq: int) -> Schedule:
-    """Schedule of one rank's part of an allreduce (buffer name ``"acc"``)."""
-    return schedules.get_builder("allreduce", algorithm)(rank, size, count, esize, seq)
-
-
-def allgather_schedule(algorithm: str, rank: int, size: int, nbytes_per_rank: int,
-                       seq: int) -> Schedule:
-    """Schedule of one rank's part of an allgather (``"send"`` -> ``"recv"``)."""
-    return schedules.get_builder("allgather", algorithm)(rank, size, nbytes_per_rank, seq)
-
-
-def alltoall_schedule(algorithm: str, rank: int, size: int, nbytes_per_rank: int,
-                      seq: int) -> Schedule:
-    """Schedule of one rank's part of an alltoall (``"send"`` -> ``"recv"``)."""
-    return schedules.get_builder("alltoall", algorithm)(rank, size, nbytes_per_rank, seq)
+def alltoall(algorithm: str, rank: int, size: int, sendbuf: BytesLike, recvbuf: Buffer,
+             count: int, esize: int, seq: int) -> Bound:
+    """An alltoall of one block per peer, from ``sendbuf`` into ``recvbuf``."""
+    return _bind("alltoall", algorithm, rank, size, count, esize, 0, seq,
+                 {SEND: sendbuf, RECV: recvbuf})

@@ -36,8 +36,9 @@ from repro.mpi import collectives as coll
 from repro.obs import trace as _trace
 from repro.mpi import datatypes as dts
 from repro.mpi import ops as mpi_ops
+from repro.mpi.algorithms.base import CollectiveContext
 from repro.mpi.algorithms.decision import CollectiveSelector
-from repro.mpi.algorithms.schedule import ScheduleExecutor
+from repro.mpi.algorithms.schedule import ScheduleExecutor, execute
 from repro.mpi.communicator import (
     Communicator,
     Group,
@@ -855,7 +856,7 @@ class MPIRuntime:
 
     def _select_algorithm(
         self, collective: str, comm: Communicator, nbytes: int,
-        bytes_moved: Optional[int] = None, schedule_only: bool = False,
+        bytes_moved: Optional[int] = None,
     ) -> str:
         """Pick the algorithm for one collective call and record the counters.
 
@@ -865,15 +866,8 @@ class MPIRuntime:
         negotiation.  ``bytes_moved`` is the payload passing through *this
         rank's* buffers (defaults to ``nbytes``); e.g. a gather root counts
         ``p`` blocks while a leaf counts one.
-
-        ``schedule_only`` is set by the non-blocking entry points: if the
-        decision (or a forced override) names an algorithm that has not been
-        ported to schedules, the nearest schedule-capable one is used -- and
-        recorded, so counters always reflect what actually ran.
         """
         algorithm = self.world.collectives.decide(collective, nbytes, comm.size)
-        if schedule_only:
-            algorithm = coll.schedulable_algorithm(collective, algorithm)
         self.world.metrics.record_collective(
             collective, algorithm, nbytes if bytes_moved is None else bytes_moved
         )
@@ -885,12 +879,20 @@ class MPIRuntime:
             )
         return algorithm
 
+    def _run_collective(
+        self, comm: Communicator, bound: coll.Bound,
+        datatype: Optional[Datatype] = None, op: Optional[Op] = None,
+    ) -> None:
+        """Execute one bound collective schedule to completion (the blocking
+        entry points)."""
+        schedule, buffers = bound
+        execute(self._collective_context(comm), schedule, buffers, datatype, op)
+
     def _start_collective(
         self,
         kind: str,
         comm: Communicator,
-        schedule,
-        buffers,
+        bound: coll.Bound,
         datatype: Optional[Datatype] = None,
         op: Optional[Op] = None,
         finalize=None,
@@ -903,6 +905,7 @@ class MPIRuntime:
         spot.  ``finalize`` runs exactly once, at completion, to copy results
         from the schedule's working buffers into the caller's memory.
         """
+        schedule, buffers = bound
         executor = ScheduleExecutor(
             self._collective_context(comm), schedule, buffers, datatype, op,
             on_complete=finalize,
@@ -911,9 +914,7 @@ class MPIRuntime:
         self._activate(request, _PendingCollective(executor, comm))
         return request
 
-    def _collective_context(self, comm: Communicator) -> coll.CollectiveContext:
-        local_rank = self.comm_rank(comm)
-
+    def _collective_context(self, comm: Communicator) -> CollectiveContext:
         def send(dst_local: int, tag: int, data: memoryview) -> None:
             self.world.matching.post_send(
                 self.ctx,
@@ -936,11 +937,6 @@ class MPIRuntime:
         def compute(seconds: float) -> None:
             self.ctx.advance(seconds)
 
-        def probe(src_local: int, tag: int) -> bool:
-            return self.world.matching.has_match(
-                self.rank_world, comm.context_id, comm.world_rank(src_local), tag
-            )
-
         def recv_nb(src_local: int, tag: int, into: memoryview) -> Optional[float]:
             out = self.world.matching.consume_nowait(
                 self.ctx, self.rank_world, comm.context_id,
@@ -948,18 +944,17 @@ class MPIRuntime:
             )
             return None if out is None else out[1]
 
-        return coll.CollectiveContext(
-            rank=local_rank,
+        return CollectiveContext(
+            rank=self.comm_rank(comm),
             size=comm.size,
             send=send,
             recv=recv,
             compute=compute,
-            reduce_compute_per_byte=self.world.reduce_compute_per_byte,
-            probe=probe,
             recv_nb=recv_nb,
             now=lambda: self.ctx.now,
             advance_to=self.ctx.advance_to,
             world_rank=self.rank_world,
+            reduce_compute_per_byte=self.world.reduce_compute_per_byte,
         )
 
     @_traced("MPI_Barrier")
@@ -968,7 +963,8 @@ class MPIRuntime:
         self._require_init()
         comm = comm or self.comm_world
         algorithm = self._select_algorithm("barrier", comm, 0)
-        coll.barrier(self._collective_context(comm), self._next_seq(comm), algorithm=algorithm)
+        self._run_collective(comm, coll.barrier(
+            algorithm, self.comm_rank(comm), comm.size, self._next_seq(comm)))
 
     @_traced("MPI_Bcast")
     def bcast(
@@ -986,10 +982,9 @@ class MPIRuntime:
         nbytes = count * datatype.size
         view = _writable(buf, nbytes, "bcast") if nbytes > 0 else bytearray(0)
         algorithm = self._select_algorithm("bcast", comm, nbytes)
-        coll.bcast(
-            self._collective_context(comm), view, nbytes, root, self._next_seq(comm),
-            algorithm=algorithm,
-        )
+        self._run_collective(comm, coll.bcast(
+            algorithm, self.comm_rank(comm), comm.size, view, count, datatype.size,
+            root, self._next_seq(comm)))
 
     @_traced("MPI_Reduce")
     def reduce(
@@ -1008,18 +1003,18 @@ class MPIRuntime:
         self._check_root(comm, root)
         nbytes = count * datatype.size
         send_view = _readable(sendbuf, nbytes, "reduce send")
+        rank = self.comm_rank(comm)
         out = None
-        if self.comm_rank(comm) == root:
+        if rank == root:
             out = (
                 _writable(recvbuf, nbytes, "reduce recv")
                 if recvbuf is not None and nbytes > 0
                 else bytearray(nbytes)
             )
         algorithm = self._select_algorithm("reduce", comm, nbytes)
-        coll.reduce(
-            self._collective_context(comm), send_view, out, count, datatype, op, root,
-            self._next_seq(comm), algorithm=algorithm,
-        )
+        self._run_collective(comm, coll.reduce(
+            algorithm, rank, comm.size, send_view, out, count, datatype.size, root,
+            self._next_seq(comm)), datatype, op)
 
     @_traced("MPI_Allreduce")
     def allreduce(
@@ -1038,10 +1033,9 @@ class MPIRuntime:
         send_view = _readable(sendbuf, nbytes, "allreduce send")
         out = _writable(recvbuf, nbytes, "allreduce recv") if nbytes > 0 else bytearray(0)
         algorithm = self._select_algorithm("allreduce", comm, nbytes)
-        coll.allreduce(
-            self._collective_context(comm), send_view, out, count, datatype, op,
-            self._next_seq(comm), algorithm=algorithm,
-        )
+        self._run_collective(comm, coll.allreduce(
+            algorithm, self.comm_rank(comm), comm.size, send_view, out, count,
+            datatype.size, self._next_seq(comm)), datatype, op)
 
     @_traced("MPI_Gather")
     def gather(
@@ -1061,9 +1055,9 @@ class MPIRuntime:
         self._check_root(comm, root)
         nbytes = sendcount * sendtype.size
         send_view = _readable(sendbuf, nbytes, "gather send")
-        is_root = self.comm_rank(comm) == root
+        rank = self.comm_rank(comm)
         out = None
-        if is_root:
+        if rank == root:
             out = (
                 _writable(recvbuf, recvcount * recvtype.size * comm.size, "gather recv")
                 if recvbuf is not None
@@ -1071,12 +1065,11 @@ class MPIRuntime:
             )
         algorithm = self._select_algorithm(
             "gather", comm, nbytes,
-            bytes_moved=nbytes * comm.size if is_root else nbytes,
+            bytes_moved=nbytes * comm.size if rank == root else nbytes,
         )
-        coll.gather(
-            self._collective_context(comm), send_view, out, nbytes, root,
-            self._next_seq(comm), algorithm=algorithm,
-        )
+        self._run_collective(comm, coll.gather(
+            algorithm, rank, comm.size, send_view, out, sendcount, sendtype.size, root,
+            self._next_seq(comm)))
 
     @_traced("MPI_Scatter")
     def scatter(
@@ -1095,18 +1088,19 @@ class MPIRuntime:
         comm = comm or self.comm_world
         self._check_root(comm, root)
         nbytes = recvcount * recvtype.size
-        is_root = self.comm_rank(comm) == root
-        send_view = (
-            _readable(sendbuf, nbytes * comm.size, "scatter send") if is_root and sendbuf is not None else None
-        )
+        rank = self.comm_rank(comm)
+        send_view = None
+        if rank == root:
+            if sendbuf is None:
+                raise ValueError("root must supply a send buffer to scatter")
+            send_view = _readable(sendbuf, nbytes * comm.size, "scatter send")
         algorithm = self._select_algorithm(
             "scatter", comm, nbytes,
-            bytes_moved=nbytes * comm.size if is_root else nbytes,
+            bytes_moved=nbytes * comm.size if rank == root else nbytes,
         )
-        coll.scatter(
-            self._collective_context(comm), send_view, _writable(recvbuf, nbytes, "scatter recv"),
-            nbytes, root, self._next_seq(comm), algorithm=algorithm,
-        )
+        self._run_collective(comm, coll.scatter(
+            algorithm, rank, comm.size, send_view, _writable(recvbuf, nbytes, "scatter recv"),
+            recvcount, recvtype.size, root, self._next_seq(comm)))
 
     @_traced("MPI_Allgather")
     def allgather(
@@ -1126,10 +1120,9 @@ class MPIRuntime:
         send_view = _readable(sendbuf, nbytes, "allgather send")
         out = _writable(recvbuf, nbytes * comm.size, "allgather recv")
         algorithm = self._select_algorithm("allgather", comm, nbytes, bytes_moved=nbytes * comm.size)
-        coll.allgather(
-            self._collective_context(comm), send_view, out, nbytes,
-            self._next_seq(comm), algorithm=algorithm,
-        )
+        self._run_collective(comm, coll.allgather(
+            algorithm, self.comm_rank(comm), comm.size, send_view, out, sendcount,
+            sendtype.size, self._next_seq(comm)))
 
     @_traced("MPI_Alltoall")
     def alltoall(
@@ -1149,10 +1142,9 @@ class MPIRuntime:
         send_view = _readable(sendbuf, nbytes * comm.size, "alltoall send")
         out = _writable(recvbuf, nbytes * comm.size, "alltoall recv")
         algorithm = self._select_algorithm("alltoall", comm, nbytes, bytes_moved=nbytes * comm.size)
-        coll.alltoall(
-            self._collective_context(comm), send_view, out, nbytes,
-            self._next_seq(comm), algorithm=algorithm,
-        )
+        self._run_collective(comm, coll.alltoall(
+            algorithm, self.comm_rank(comm), comm.size, send_view, out, sendcount,
+            sendtype.size, self._next_seq(comm)))
 
     def _check_root(self, comm: Communicator, root: int) -> None:
         if not 0 <= root < comm.size:
@@ -1161,7 +1153,7 @@ class MPIRuntime:
     # ------------------------------------------------- non-blocking collectives
     #
     # Every ``I<collective>`` selects its algorithm through the same decision
-    # table as the blocking counterpart, builds the same schedule the blocking
+    # table as the blocking counterpart, binds the same schedule the blocking
     # path executes, and returns a Request the progress engine advances from
     # ``test``/``wait``-family calls.  Results land in the caller's buffers at
     # completion time, so communication overlaps any compute between the post
@@ -1172,11 +1164,9 @@ class MPIRuntime:
         """``MPI_Ibarrier``."""
         self._require_init()
         comm = comm or self.comm_world
-        algorithm = self._select_algorithm("barrier", comm, 0, schedule_only=True)
-        schedule = coll.barrier_schedule(
-            algorithm, self.comm_rank(comm), comm.size, self._next_seq(comm)
-        )
-        return self._start_collective("ibarrier", comm, schedule, {})
+        algorithm = self._select_algorithm("barrier", comm, 0)
+        return self._start_collective("ibarrier", comm, coll.barrier(
+            algorithm, self.comm_rank(comm), comm.size, self._next_seq(comm)))
 
     @_traced("MPI_Ibcast")
     def ibcast(
@@ -1195,16 +1185,15 @@ class MPIRuntime:
         # Buffers are materialised transiently (and again at completion), so
         # no view into guest memory outlives this call -- see LazyBuffer.
         data = bytearray(_writable(_supplied(buf), nbytes, "bcast")) if nbytes > 0 else bytearray(0)
-        algorithm = self._select_algorithm("bcast", comm, nbytes, schedule_only=True)
-        schedule = coll.bcast_schedule(
-            algorithm, self.comm_rank(comm), comm.size, nbytes, root, self._next_seq(comm)
-        )
+        algorithm = self._select_algorithm("bcast", comm, nbytes)
 
-        def finalize(buffers) -> None:
+        def finalize() -> None:
             if nbytes > 0:
-                _writable(_supplied(buf), nbytes, "bcast")[:nbytes] = buffers["data"][:nbytes]
+                _writable(_supplied(buf), nbytes, "bcast")[:nbytes] = data
 
-        return self._start_collective("ibcast", comm, schedule, {"data": data}, finalize=finalize)
+        return self._start_collective("ibcast", comm, coll.bcast(
+            algorithm, self.comm_rank(comm), comm.size, data, count, datatype.size,
+            root, self._next_seq(comm)), finalize=finalize)
 
     @_traced("MPI_Iallreduce")
     def iallreduce(
@@ -1220,24 +1209,19 @@ class MPIRuntime:
         self._require_init()
         comm = comm or self.comm_world
         nbytes = count * datatype.size
-        acc = bytearray(_readable(_supplied(sendbuf), nbytes, "allreduce send"))
+        send_view = _readable(_supplied(sendbuf), nbytes, "allreduce send")
         if nbytes > 0:
             _writable(_supplied(recvbuf), nbytes, "allreduce recv")  # validate early
-        algorithm = self._select_algorithm("allreduce", comm, nbytes, schedule_only=True)
-        schedule = coll.allreduce_schedule(
-            algorithm, self.comm_rank(comm), comm.size, count, datatype.size, self._next_seq(comm)
-        )
+        acc = bytearray(nbytes)
+        algorithm = self._select_algorithm("allreduce", comm, nbytes)
 
-        def finalize(buffers) -> None:
+        def finalize() -> None:
             if nbytes > 0:
-                _writable(_supplied(recvbuf), nbytes, "allreduce recv")[:nbytes] = (
-                    buffers["acc"][:nbytes]
-                )
+                _writable(_supplied(recvbuf), nbytes, "allreduce recv")[:nbytes] = acc
 
-        return self._start_collective(
-            "iallreduce", comm, schedule, {"acc": acc},
-            datatype=datatype, op=op, finalize=finalize,
-        )
+        return self._start_collective("iallreduce", comm, coll.allreduce(
+            algorithm, self.comm_rank(comm), comm.size, send_view, acc, count,
+            datatype.size, self._next_seq(comm)), datatype, op, finalize)
 
     @_traced("MPI_Iallgather")
     def iallgather(
@@ -1258,24 +1242,16 @@ class MPIRuntime:
         send_copy = bytearray(_readable(_supplied(sendbuf), nbytes, "allgather send"))
         if total > 0:
             _writable(_supplied(recvbuf), total, "allgather recv")  # validate early
-        algorithm = self._select_algorithm(
-            "allgather", comm, nbytes, bytes_moved=total, schedule_only=True
-        )
-        schedule = coll.allgather_schedule(
-            algorithm, self.comm_rank(comm), comm.size, nbytes, self._next_seq(comm)
-        )
+        out = bytearray(total)
+        algorithm = self._select_algorithm("allgather", comm, nbytes, bytes_moved=total)
 
-        def finalize(buffers) -> None:
+        def finalize() -> None:
             if total > 0:
-                _writable(_supplied(recvbuf), total, "allgather recv")[:total] = (
-                    buffers["recv"][:total]
-                )
+                _writable(_supplied(recvbuf), total, "allgather recv")[:total] = out
 
-        return self._start_collective(
-            "iallgather", comm, schedule,
-            {"send": send_copy, "recv": bytearray(total)},
-            finalize=finalize,
-        )
+        return self._start_collective("iallgather", comm, coll.allgather(
+            algorithm, self.comm_rank(comm), comm.size, send_copy, out, sendcount,
+            sendtype.size, self._next_seq(comm)), finalize=finalize)
 
     @_traced("MPI_Ialltoall")
     def ialltoall(
@@ -1296,24 +1272,16 @@ class MPIRuntime:
         send_copy = bytearray(_readable(_supplied(sendbuf), total, "alltoall send"))
         if total > 0:
             _writable(_supplied(recvbuf), total, "alltoall recv")  # validate early
-        algorithm = self._select_algorithm(
-            "alltoall", comm, nbytes, bytes_moved=total, schedule_only=True
-        )
-        schedule = coll.alltoall_schedule(
-            algorithm, self.comm_rank(comm), comm.size, nbytes, self._next_seq(comm)
-        )
+        out = bytearray(total)
+        algorithm = self._select_algorithm("alltoall", comm, nbytes, bytes_moved=total)
 
-        def finalize(buffers) -> None:
+        def finalize() -> None:
             if total > 0:
-                _writable(_supplied(recvbuf), total, "alltoall recv")[:total] = (
-                    buffers["recv"][:total]
-                )
+                _writable(_supplied(recvbuf), total, "alltoall recv")[:total] = out
 
-        return self._start_collective(
-            "ialltoall", comm, schedule,
-            {"send": send_copy, "recv": bytearray(total)},
-            finalize=finalize,
-        )
+        return self._start_collective("ialltoall", comm, coll.alltoall(
+            algorithm, self.comm_rank(comm), comm.size, send_copy, out, sendcount,
+            sendtype.size, self._next_seq(comm)), finalize=finalize)
 
     # ------------------------------------------------------------ communicators
 
@@ -1329,7 +1297,7 @@ class MPIRuntime:
         context_id = (comm.context_id + 1) * 10_000 + seq
         # A dup is collective: synchronise so no rank races ahead.
         algorithm = self._select_algorithm("barrier", comm, 0)
-        coll.barrier(self._collective_context(comm), seq, algorithm=algorithm)
+        self._run_collective(comm, coll.barrier(algorithm, self.comm_rank(comm), comm.size, seq))
         return Communicator(comm.group, name=f"{comm.name}.dup", context_id=context_id)
 
     @_traced("MPI_Comm_split")
@@ -1348,7 +1316,7 @@ class MPIRuntime:
         coord.contribute(self.rank_world, color, key)
         # Synchronise: everyone must have contributed before anyone proceeds.
         algorithm = self._select_algorithm("barrier", comm, 0)
-        coll.barrier(self._collective_context(comm), seq, algorithm=algorithm)
+        self._run_collective(comm, coll.barrier(algorithm, self.comm_rank(comm), comm.size, seq))
         return coord.communicator_for(self.rank_world)
 
     def comm_free(self, comm: Communicator) -> None:

@@ -13,9 +13,11 @@ from repro.analysis.schedule_check import (
     check_point,
     check_schedules,
     parse_nranks_spec,
+    payload_shape,
     registered_points,
     sweep,
 )
+from repro.mpi.algorithms import registry
 from repro.mpi.algorithms.schedule import RecvStep, Schedule, SendStep
 
 
@@ -58,12 +60,38 @@ def test_registry_has_all_known_builders():
     assert len(points) >= 11
 
 
+def test_registered_points_are_the_whole_algorithm_registry():
+    """The analyzer reads the one algorithm registry: every registered
+    ``(collective, algorithm)`` pair is a checked builder."""
+    expected = [(collective, algorithm)
+                for collective, algorithms in registry.catalog().items()
+                for algorithm in algorithms]
+    assert sorted(registered_points()) == sorted(expected)
+    assert len(expected) == 17
+
+
 def test_nonzero_roots_checked_for_rooted_collectives():
     for root in (1, 6):
         report = check_point("bcast", "scatter_allgather", 7, 128, root=root)
         assert report.ok, report.format_text()
         report = check_point("reduce", "binomial", 7, 128, root=root)
         assert report.ok, report.format_text()
+
+
+def test_odd_byte_sizes_are_checked_exactly():
+    """A size that is no multiple of the sweep's element size is built from
+    one-byte elements (as an ``MPI_BYTE`` call is), not rounded."""
+    assert payload_shape(7) == (7, 1)
+    assert payload_shape(4096) == (1024, 4)
+    report = check_point("bcast", "scatter_allgather", 7, 7)
+    assert report.ok, report.format_text()
+    received = sum(st.nbytes for st in build_schedule(
+        "bcast", "scatter_allgather", 3, 7, 7).flat() if isinstance(st, RecvStep))
+    assert received == 7
+    for collective, algorithm in registered_points():
+        for nbytes in (0, 7, 4097):
+            report = check_point(collective, algorithm, 5, nbytes, root=2)
+            assert report.ok, report.format_text()
 
 
 def test_parse_nranks_spec_forms():
@@ -117,6 +145,21 @@ def test_dropped_recv_step_is_caught():
     rules = {f.rule for f in report.errors}
     # The vanished receive orphans its matching send, and rank 5's output
     # buffer is no longer fully written.
+    assert "orphan-send" in rules
+    assert "incomplete-result" in rules
+
+
+def test_dropped_recv_step_in_binomial_gather_is_caught():
+    schedules = [build_schedule("gather", "binomial", r, 8, 32) for r in range(8)]
+    assert check_schedules(schedules, "gather", 32, loc="fixture clean").ok
+    flat = schedules[0].flat()
+    victim = next(i for i, st in enumerate(flat) if isinstance(st, RecvStep))
+    schedules[0] = _clone_with_flat(
+        schedules[0], [st for i, st in enumerate(flat) if i != victim])
+    report = check_schedules(schedules, "gather", 32, loc="fixture dropped-recv")
+    rules = {f.rule for f in report.errors}
+    # The child's packed subtree has no receiver, and the root's p-block
+    # result keeps a hole where that subtree should have landed.
     assert "orphan-send" in rules
     assert "incomplete-result" in rules
 

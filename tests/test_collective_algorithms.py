@@ -403,3 +403,44 @@ def test_collective_report_renders(monkeypatch):
     text = format_collective_report(job.metrics)
     assert "bcast" in text
     assert "binomial:2" in text
+
+
+# ------------------------------------------- golden values of the schedule port
+
+#: Forced algorithms covering the six that were hand-written point-to-point
+#: code before every algorithm became a schedule builder.
+_PORTED = {"reduce": "rabenseifner", "allreduce": "reduce_bcast",
+           "gather": "linear", "scatter": "binomial"}
+_PORTED_MIRROR = {"reduce": "rabenseifner", "allreduce": "reduce_bcast",
+                  "gather": "binomial", "scatter": "linear"}
+
+#: ``imb-suite`` (cranelift, supermuc-ng) under those forcings, recorded from
+#: the hand-written implementations: the makespan and the SHA-256 of every
+#: rank's return values (the per-size IMB timing rows) as sorted JSON.  The
+#: schedules send the same messages in the same order with the same sizes,
+#: tags and virtual-time charges, so both must repeat exactly.
+IMB_GOLDEN = [
+    (6, _PORTED, 0.0004784441652173976,
+     "5140d943bef5d8ada0012f50a059caecfea0133c506e97e6912b78268719061c"),
+    (7, _PORTED, 0.000509045314782615,
+     "7fac63a78b53f1aa288de3e48efa79734b2137412631958d7acb38031899f800"),
+    (5, _PORTED_MIRROR, 0.0004489302121739189,
+     "b284e302f4578cadbe6f964e11b618cdb37d73e27b646d8c00f1079e65f89216"),
+]
+
+
+@pytest.mark.parametrize("nranks,forced,makespan,digest", IMB_GOLDEN)
+def test_ported_algorithms_reproduce_hand_written_golden_values(nranks, forced, makespan, digest):
+    import hashlib
+    import json
+
+    from repro.api.session import Session
+
+    with Session(machine="supermuc-ng", backend="cranelift") as session:
+        job = session.run("imb-suite", nranks, algorithms=forced)
+    summary = job.metrics.collective_summary()
+    for collective, algorithm in forced.items():
+        assert set(summary[collective]["algorithms"]) == {algorithm}
+    assert job.makespan == makespan
+    values = json.dumps(job.return_values(), sort_keys=True).encode()
+    assert hashlib.sha256(values).hexdigest() == digest

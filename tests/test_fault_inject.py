@@ -188,6 +188,46 @@ def test_recovery_replays_bit_for_bit(session):
     assert counters["fault.recovered"] == 1
 
 
+def _gather_once_program(root: int) -> GuestProgram:
+    """One MPI_Gather of 8 rank-tagged ints to ``root``: the job's only
+    collective, so every schedule round a rank crosses is a gather round."""
+    from repro.toolchain import mpi_header as abi
+
+    def main(api, args):
+        api.mpi_init()
+        rank, size = api.rank(), api.size()
+        send_ptr, send = api.alloc_array(8, abi.MPI_INT)
+        send[:] = np.arange(8, dtype=np.int32) + 100 * rank
+        recv_ptr, recv = api.alloc_array(8 * size, abi.MPI_INT, fill=0)
+        api.gather(send_ptr, 8, abi.MPI_INT, recv_ptr, 8, abi.MPI_INT, root)
+        api.mpi_finalize()
+        return bytes(recv) if rank == root else b""
+
+    return GuestProgram(name="gather-once", main=main)
+
+
+def test_recovery_from_kill_inside_binomial_gather(session):
+    """A rank killed at a schedule-round boundary in the middle of a binomial
+    gather recovers to the oracle result, bit for bit."""
+    nranks, root = 4, 1
+    program = _gather_once_program(root)
+    algorithms = {"gather": "binomial"}
+    baseline = session.run(program, nranks, algorithms=algorithms)
+    # The root (virtual rank 0) crosses round 0 after packing its own block
+    # and round 1 after its first child's subtree arrives: round 1 falls
+    # between two receives of the gather.
+    plan = FaultPlan(faults=(Fault(kind="kill_rank", rank=root, round=1),))
+    result = run_with_recovery(program, nranks, plan=plan, session=session,
+                               algorithms=algorithms)
+    assert result.recovered and result.attempts == 2
+    assert result.fired[0]["rank"] == root and result.fired[0]["round"] == 1
+    oracle = b"".join((np.arange(8, dtype=np.int32) + 100 * r).tobytes()
+                      for r in range(nranks))
+    assert result.job.return_values()[root] == oracle
+    assert result.job.return_values() == baseline.return_values()
+    assert result.job.makespan == baseline.makespan
+
+
 def test_recovery_budget_exhaustion_reraises(session):
     plan = FaultPlan(
         faults=(Fault(kind="kill_rank", rank=0, call="MPI_Allreduce", call_index=0),))

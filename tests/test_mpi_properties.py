@@ -32,7 +32,6 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from repro.mpi import datatypes, ops  # noqa: E402
 from repro.mpi.algorithms import registry  # noqa: E402
-from repro.mpi.algorithms import schedule as schedules  # noqa: E402
 from repro.mpi.runtime import MPIRuntime, MPIWorld  # noqa: E402
 from repro.sim.cluster import Cluster  # noqa: E402
 from repro.sim.engine import SimEngine  # noqa: E402
@@ -239,7 +238,7 @@ def _complete(rt, ctx, request, mode: str):
 @st.composite
 def nbc_draws(draw):
     collective = draw(st.sampled_from(NBC_COLLECTIVES))
-    algorithm = draw(st.sampled_from(schedules.builders_for(collective)))
+    algorithm = draw(st.sampled_from(registry.algorithms_for(collective)))
     nranks = draw(st.integers(min_value=2, max_value=6))
     dtype, npdtype = draw(st.sampled_from(DTYPES))
     if collective == "allreduce":

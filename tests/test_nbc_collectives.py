@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from repro.mpi import datatypes, ops
-from repro.mpi.algorithms import schedule as schedules
+from repro.mpi.algorithms import registry
 from repro.toolchain import mpi_header as abi
 from repro.toolchain.guest import GuestProgram
 from tests.conftest import run_mpi_program
@@ -102,40 +102,42 @@ def test_nbc_routes_through_decision_table():
     assert results[-1] == nranks  # one rank-call per rank, all on "ring"
 
 
-def test_nbc_forced_unscheduled_algorithm_falls_back():
-    """Forcing an algorithm without a schedule builder (reduce_bcast) must
-    degrade the non-blocking path to the ported fallback, not fail."""
-    assert not schedules.has_builder("allreduce", "reduce_bcast")
+@pytest.mark.parametrize("nranks", [3, 5])
+def test_nbc_forced_reduce_bcast_runs_as_reduce_bcast(nranks):
+    """Every algorithm is a schedule, so a forced ``reduce_bcast`` runs as
+    itself on the non-blocking path, is counted under its own name, and
+    matches the oracle bit for bit."""
+    count = 8
+    rng = np.random.default_rng(nranks)
+    inputs = [rng.integers(-1000, 1000, size=count, dtype=np.int64) for _ in range(nranks)]
+    expected = np.sum(inputs, axis=0, dtype=np.int64).tobytes()
 
     def program(rt, ctx):
         rt.world.collectives.force("allreduce", "reduce_bcast")
-        send = np.full(8, ctx.rank + 1, dtype=np.int64)
-        recv = np.zeros(8, dtype=np.int64)
-        rt.wait(rt.iallreduce(send, recv, 8, datatypes.LONG, ops.SUM))
+        recv = np.zeros(count, dtype=np.int64)
+        rt.wait(rt.iallreduce(inputs[ctx.rank].copy(), recv, count, datatypes.LONG, ops.SUM))
         algos = {
             k: v for k, v in rt.world.metrics.counters().items()
             if k.startswith("mpi.coll.allreduce.algo.")
         }
-        return (recv.tolist(), algos)
+        return (recv.tobytes(), algos)
 
-    results = run_mpi_program(program, 3)
-    expected = [sum(range(1, 4))] * 8
+    results = run_mpi_program(program, nranks)
     for recv, algos in results:
         assert recv == expected
-        assert set(algos) == {"mpi.coll.allreduce.algo.recursive_doubling"}
+        assert set(algos) == {"mpi.coll.allreduce.algo.reduce_bcast"}
 
 
 def test_every_nbc_collective_has_builders_for_table_defaults():
     """Every algorithm the default decision table can pick for an NBC-capable
-    collective must have a schedule builder (no silent fallback in the
-    default configuration)."""
+    collective is registered (as a schedule builder, like every algorithm)."""
     from repro.mpi.algorithms.decision import DEFAULT_RULES
 
     for collective in ("barrier", "bcast", "allreduce", "allgather", "alltoall"):
         for rule in DEFAULT_RULES[collective]:
-            assert schedules.has_builder(collective, rule.algorithm), (
+            assert registry.is_registered(collective, rule.algorithm), (
                 f"decision table can pick {collective}/{rule.algorithm}, "
-                "which has no schedule builder"
+                "which is not registered"
             )
 
 
